@@ -11,7 +11,7 @@ from .errors import (
     PreconditionError,
     SizeCapError,
 )
-from .graph import NODE_CAP, WeightedGraph, labeled_bipartitions
+from .graph import NODE_CAP, WeightedGraph
 from .game import (
     ANTICOORDINATING,
     COORDINATING,
@@ -102,7 +102,6 @@ __all__ = [
     "global_reachability",
     "indecomposability",
     "is_nash",
-    "labeled_bipartitions",
     "load_game",
     "parse_game",
     "partition_certificate",

@@ -168,7 +168,7 @@ def cmd_analyze(args) -> int:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         indec = {
-            mode: game_indecomposability(game, mode=mode, jobs=args.jobs)
+            mode: game_indecomposability(game, mode=mode)
             for mode in ("strict", "weak")
         }
     report["indecomposability"] = {
@@ -319,7 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="structural predicates, equilibria, reachability")
     _add_game_argument(p)
     p.add_argument("--cap", type=int, default=20, help="player cap for exhaustive scans")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers for the partition scan")
     p.add_argument("--timing", action="store_true", help="include wall-clock timing (non-deterministic)")
     p.set_defaults(func=cmd_analyze)
 

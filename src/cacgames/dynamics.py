@@ -19,9 +19,8 @@ from .errors import (
     GuaranteeViolationError,
     PathValidationError,
     PreconditionError,
-    SizeCapError,
 )
-from .game import DEFAULT_ENUM_CAP, Game, is_nash, utility
+from .game import DEFAULT_ENUM_CAP, Game, _check_cap, is_nash, utility
 from .structure import game_cohesiveness, game_indecomposability
 
 SCHEDULERS = ("round-robin", "uniform-random", "greedy-potential")
@@ -88,13 +87,6 @@ def br_transitions(game: Game, x: int) -> list:
         if game._br_bits(k, x) >> (1 - cur) & 1:
             out.append((game.nodes[k], 1 - cur, x ^ (1 << k)))
     return out
-
-
-def _check_cap(game: Game, cap: int) -> None:
-    if game.n > cap:
-        raise SizeCapError(
-            f"state-space scan over {game.n} players exceeds the cap of {cap}"
-        )
 
 
 def reachable_set(game: Game, x0: int, cap: int = DEFAULT_ENUM_CAP) -> set:

@@ -32,15 +32,23 @@ _BR_SETS = {1: frozenset((0,)), 2: frozenset((1,)), 3: frozenset((0, 1))}
 
 
 def _threshold_map(nodes, thresholds) -> dict:
+    """Per-node thresholds from a single rational or a mapping, each checked
+    to lie in the open interval (0, 1)."""
     if isinstance(thresholds, Mapping):
         out = {}
         for v in nodes:
             if v not in thresholds:
                 raise GameInputError(f"missing threshold for node {v!r}")
             out[v] = as_rational(thresholds[v], what=f"threshold of {v!r}")
-        return out
-    uniform = as_rational(thresholds, what="threshold")
-    return {v: uniform for v in nodes}
+    else:
+        uniform = as_rational(thresholds, what="threshold")
+        out = {v: uniform for v in nodes}
+    for v, r in out.items():
+        if not (0 < r < 1):
+            raise GameInputError(
+                f"threshold of {v!r} must lie strictly between 0 and 1, got {r}"
+            )
+    return out
 
 
 class Game:
@@ -60,11 +68,6 @@ class Game:
         self.coordinating = coordinating
         self.anticoordinating = frozenset(nodes) - coordinating
         self.thresholds = _threshold_map(nodes, thresholds)
-        for v, r in self.thresholds.items():
-            if not (0 < r < 1):
-                raise GameInputError(
-                    f"threshold of {v!r} must lie strictly between 0 and 1, got {r}"
-                )
 
         n = len(nodes)
         self.n = n

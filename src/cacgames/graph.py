@@ -9,7 +9,7 @@ graph never stores or returns floats.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Tuple
+from typing import Iterable, Mapping, Tuple
 
 from .errors import GameInputError
 from .rationals import as_rational
@@ -171,22 +171,3 @@ class WeightedGraph:
         for v in member_set:
             self.index(v)
         return member_set
-
-
-def labeled_bipartitions(members: Iterable) -> Iterator[tuple]:
-    """Yield every split of ``members`` into an ordered pair of non-empty
-    parts.
-
-    Exactly 2^m - 2 pairs are produced.  The order is deterministic:
-    ascending bitmask of the first part, with bit k standing for the k-th
-    smallest member.  Fewer than two members yield nothing.
-    """
-    ordered = sorted(set(members))
-    m = len(ordered)
-    if m < 2:
-        return
-    full = (1 << m) - 1
-    for mask0 in range(1, full):
-        part0 = frozenset(ordered[k] for k in range(m) if mask0 >> k & 1)
-        part1 = frozenset(ordered[k] for k in range(m) if (full ^ mask0) >> k & 1)
-        yield part0, part1

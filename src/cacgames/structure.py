@@ -27,16 +27,6 @@ from .game import utility as _full_utility
 from .graph import WeightedGraph, ZERO
 
 
-def _validated_thresholds(members, thresholds) -> dict:
-    th = _threshold_map(members, thresholds)
-    for v, r in th.items():
-        if not (0 < r < 1):
-            raise GameInputError(
-                f"threshold of {v!r} must lie strictly between 0 and 1, got {r}"
-            )
-    return th
-
-
 @dataclass(frozen=True)
 class CohesivenessReport:
     """Outcome of a cohesiveness check.
@@ -60,7 +50,7 @@ def cohesiveness(graph: WeightedGraph, members: Iterable, thresholds) -> Cohesiv
     member_list = sorted(set(members))
     for v in member_list:
         graph.index(v)
-    th = _validated_thresholds(member_list, thresholds)
+    th = _threshold_map(member_list, thresholds)
     violators = []
     for v in member_list:
         inside = graph.restricted_degree(v, member_list)
@@ -88,6 +78,13 @@ class PartitionWitness:
 
 @dataclass(frozen=True)
 class IndecomposabilityReport:
+    """Outcome of an indecomposability check.
+
+    ``partitions_checked`` counts the search nodes visited: every member
+    assignment the pruned search tried, including those it cut off.  It is
+    0 when fewer than two members leave nothing to split.
+    """
+
     holds: bool
     mode: str
     witness: Optional[PartitionWitness]
@@ -98,7 +95,13 @@ class IndecomposabilityReport:
 
 
 class _PartitionScan:
-    """Shared precomputation for scanning partitions of one member set."""
+    """Shared precomputation for deciding splits of one member set.
+
+    A member is satisfied in its part when its cut (internal weight into the
+    other part) stays within a budget: ``r * w`` in part0 and ``(1 - r) * w``
+    in part1, inclusive in strict mode and exclusive in weak mode.  A split
+    is a decomposition when every member is satisfied.
+    """
 
     def __init__(self, graph: WeightedGraph, members: Iterable, thresholds, mode: str):
         if mode not in ("strict", "weak"):
@@ -107,54 +110,82 @@ class _PartitionScan:
         self.members = sorted(set(members))
         for v in self.members:
             graph.index(v)
-        self.graph = graph
-        th = _validated_thresholds(self.members, thresholds)
+        th = _threshold_map(self.members, thresholds)
         m = len(self.members)
         pos = {v: k for k, v in enumerate(self.members)}
         member_set = set(self.members)
-        # Integer-scaled data per member: internal neighbor weights, the
-        # outside-weight constant, and both thresholds r*w and (1-r)*w.
+        # Per member, on its own integer scale: internal neighbor weights and
+        # the largest cut allowed in part1 and in part0.  Weak mode lowers
+        # each budget by one: on integers, ``cut >= b`` is ``cut > b - 1``.
+        slack = 0 if mode == "strict" else 1
         self.internal = []
-        self.outside_int = []
-        self.thr1_int = []
-        self.thr0_int = []
+        self.budget = []
         for v in self.members:
             w = graph.degree(v)
             inside_nbrs = [
                 (pos[u], graph.weight(v, u)) for u in graph.neighbors(v) if u in member_set
             ]
-            outside = w - sum((wt for _, wt in inside_nbrs), ZERO)
             t1 = th[v] * w
             t0 = (1 - th[v]) * w
             scale = math.lcm(
-                t1.denominator,
-                t0.denominator,
-                outside.denominator,
-                *(wt.denominator for _, wt in inside_nbrs),
+                t1.denominator, t0.denominator, *(wt.denominator for _, wt in inside_nbrs)
             )
             self.internal.append(tuple((j, int(wt * scale)) for j, wt in inside_nbrs))
-            self.outside_int.append(int(outside * scale))
-            self.thr1_int.append(int(t1 * scale))
-            self.thr0_int.append(int(t0 * scale))
+            self.budget.append((int(t0 * scale) - slack, int(t1 * scale) - slack))
+        # Edges to higher-indexed members, with the weight on both endpoints'
+        # scales: the search assigns members from the top bit down.
+        rows = [dict(row) for row in self.internal]
+        self.above = [
+            tuple((j, wk, rows[j][k]) for j, wk in self.internal[k] if j > k)
+            for k in range(m)
+        ]
         self.m = m
+        self.nodes_visited = 0
 
     def certifier(self, mask0: int):
         """First member certifying the partition, or None if the partition
         is a decomposition.  ``mask0`` selects part0 over the sorted member
         list; the complement is part1.
         """
-        strict = self.mode == "strict"
         for k in range(self.m):
             in_part0 = mask0 >> k & 1
-            own_mask = mask0 if in_part0 else ((1 << self.m) - 1) ^ mask0
-            s = self.outside_int[k]
-            for j, w in self.internal[k]:
-                if own_mask >> j & 1:
-                    s += w
-            t = self.thr0_int[k] if in_part0 else self.thr1_int[k]
-            if (s < t) if strict else (s <= t):
+            cut = sum(w for j, w in self.internal[k] if (mask0 >> j & 1) != in_part0)
+            if cut > self.budget[k][in_part0]:
                 return k, ("part0" if in_part0 else "part1")
         return None
+
+    def decompositions(self) -> Iterator[int]:
+        """Yield the ``mask0`` of every decomposition, ascending.
+
+        Depth-first over member assignments, top bit first, part1 (bit 0)
+        before part0, so leaves come in ascending ``mask0`` order.  A cut
+        only grows as more members are assigned, so a branch is pruned as
+        soon as one assigned member is over its budget.  Every assignment
+        tried counts in ``nodes_visited``.
+        """
+        cut = [0] * self.m
+        full = (1 << self.m) - 1
+
+        def search(k: int, mask0: int):
+            if k < 0:
+                if 0 < mask0 < full:
+                    yield mask0
+                return
+            for bit in (0, 1):
+                self.nodes_visited += 1
+                crossed = [(j, wk, wj) for j, wk, wj in self.above[k] if (mask0 >> j & 1) != bit]
+                for j, wk, wj in crossed:
+                    cut[k] += wk
+                    cut[j] += wj
+                if cut[k] <= self.budget[k][bit] and all(
+                    cut[j] <= self.budget[j][1 - bit] for j, _, _ in crossed
+                ):
+                    yield from search(k - 1, mask0 | bit << k)
+                cut[k] = 0
+                for j, _, wj in crossed:
+                    cut[j] -= wj
+
+        return search(self.m - 1, 0)
 
     def witness_at(self, mask0: int, certified) -> PartitionWitness:
         part0 = frozenset(self.members[k] for k in range(self.m) if mask0 >> k & 1)
@@ -196,14 +227,12 @@ def indecomposability(
     members: Iterable,
     thresholds,
     mode: str = "strict",
-    jobs: int = 1,
 ) -> IndecomposabilityReport:
-    """Decide indecomposability by scanning every labeled partition.
+    """Decide indecomposability by a pruned search over labeled partitions.
 
-    The scan runs in ascending bitmask order of the first part and stops at
-    the first decomposition; that partition is reported as the witness.
-    ``jobs > 1`` splits the mask range across processes; the reported
-    witness is the ascending-order first one regardless of chunking.
+    The search meets decompositions in ascending bitmask order of the first
+    part and stops at the first one; that partition is reported as the
+    witness, the same one an exhaustive ascending scan would find.
     With fewer than two members no partition exists, so the predicate holds
     trivially (a warning is emitted).
     """
@@ -214,57 +243,19 @@ def indecomposability(
             stacklevel=2,
         )
         return IndecomposabilityReport(True, mode, None, 0)
-    total = (1 << scan.m) - 2
-    if jobs > 1:
-        first = _scan_parallel(graph, scan, thresholds, mode, jobs)
-        if first is None:
-            return IndecomposabilityReport(True, mode, None, total)
-        return IndecomposabilityReport(
-            False, mode, scan.witness_at(first, None), first
-        )
-    checked = 0
-    for mask0 in range(1, (1 << scan.m) - 1):
-        checked += 1
-        if scan.certifier(mask0) is None:
-            return IndecomposabilityReport(
-                False, mode, scan.witness_at(mask0, None), checked
-            )
-    return IndecomposabilityReport(True, mode, None, checked)
-
-
-def _scan_chunk(args):
-    graph, members, thresholds, mode, start, stop = args
-    scan = _PartitionScan(graph, members, thresholds, mode)
-    for mask0 in range(start, stop):
-        if scan.certifier(mask0) is None:
-            return mask0
-    return None
-
-
-def _scan_parallel(graph, scan, thresholds, mode, jobs):
-    from concurrent.futures import ProcessPoolExecutor
-
-    hi = (1 << scan.m) - 1
-    bounds = []
-    step = max(1, (hi - 1) // jobs + 1)
-    lo = 1
-    while lo < hi:
-        bounds.append((lo, min(lo + step, hi)))
-        lo += step
-    tasks = [(graph, scan.members, thresholds, mode, a, b) for a, b in bounds]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        hits = [h for h in pool.map(_scan_chunk, tasks) if h is not None]
-    return min(hits) if hits else None
+    first = next(scan.decompositions(), None)
+    witness = None if first is None else scan.witness_at(first, None)
+    return IndecomposabilityReport(first is None, mode, witness, scan.nodes_visited)
 
 
 def decomposition_witnesses(
     graph: WeightedGraph, members: Iterable, thresholds, mode: str = "strict"
 ) -> Iterator[PartitionWitness]:
-    """Yield every partition that defeats indecomposability, in scan order."""
+    """Yield every partition that defeats indecomposability, in ascending
+    bitmask order of the first part."""
     scan = _PartitionScan(graph, members, thresholds, mode)
-    for mask0 in range(1, (1 << scan.m) - 1):
-        if scan.certifier(mask0) is None:
-            yield scan.witness_at(mask0, None)
+    for mask0 in scan.decompositions():
+        yield scan.witness_at(mask0, None)
 
 
 def game_cohesiveness(game: Game, toward: int = 1) -> CohesivenessReport:
@@ -278,10 +269,10 @@ def game_cohesiveness(game: Game, toward: int = 1) -> CohesivenessReport:
     return cohesiveness(game.graph, members, th)
 
 
-def game_indecomposability(game: Game, mode: str = "strict", jobs: int = 1) -> IndecomposabilityReport:
+def game_indecomposability(game: Game, mode: str = "strict") -> IndecomposabilityReport:
     members = sorted(game.coordinating)
     th = {v: game.thresholds[v] for v in members}
-    return indecomposability(game.graph, members, th, mode=mode, jobs=jobs)
+    return indecomposability(game.graph, members, th, mode=mode)
 
 
 # -- restricted games ---------------------------------------------------

@@ -1,4 +1,4 @@
-"""Graph construction, degree queries, induced subgraphs, bipartitions."""
+"""Graph construction, degree queries, induced subgraphs."""
 
 import random
 from fractions import Fraction
@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 import cacgames as cg
-from cacgames import GameInputError, WeightedGraph, labeled_bipartitions
+from cacgames import GameInputError, WeightedGraph
 
 
 def test_rejects_self_loop():
@@ -116,33 +116,6 @@ def test_induced_subgraph_keeps_internal_edges_only(games):
 
     pair = games["fig2c"].graph.induced([2, 3])
     assert pair.edges() == []
-
-
-def test_bipartitions_of_two_members_exact_stream():
-    stream = list(labeled_bipartitions([1, 2]))
-    assert stream == [(frozenset({1}), frozenset({2})), (frozenset({2}), frozenset({1}))]
-
-
-def test_bipartitions_count_and_containment():
-    assert len(list(labeled_bipartitions(range(1, 7)))) == 62
-    assert (frozenset({2, 3}), frozenset({1})) in set(labeled_bipartitions([1, 2, 3]))
-
-
-def test_bipartitions_each_pair_once_and_reconstructs():
-    members = frozenset({3, 5, 8, 9})
-    seen = set()
-    for part0, part1 in labeled_bipartitions(members):
-        assert part0 and part1
-        assert part0 | part1 == members
-        assert not part0 & part1
-        assert (part0, part1) not in seen
-        seen.add((part0, part1))
-    assert len(seen) == 2 ** len(members) - 2
-
-
-def test_bipartitions_small_sets_yield_nothing():
-    assert list(labeled_bipartitions([])) == []
-    assert list(labeled_bipartitions([7])) == []
 
 
 def test_mask_round_trip(games):

@@ -140,11 +140,80 @@ def test_strict_indecomposability_implies_weak():
             assert indecomposability(game.graph, members, th, mode="weak").holds
 
 
-def test_parallel_scan_matches_sequential(games):
-    fig4 = games["fig4"]
-    seq = game_indecomposability(fig4, mode="strict", jobs=1)
-    par = game_indecomposability(fig4, mode="strict", jobs=2)
-    assert (seq.holds, seq.witness) == (par.holds, par.witness)
+def _ascending_decompositions(graph, members, th, mode):
+    """Oracle: certify every split in ascending bitmask order of part0."""
+    ordered = sorted(members)
+    out = []
+    for mask0 in range(1, (1 << len(ordered)) - 1):
+        part0 = {v for k, v in enumerate(ordered) if mask0 >> k & 1}
+        part1 = set(ordered) - part0
+        wit = partition_certificate(graph, ordered, th, part0, part1, mode=mode)
+        if wit.certifying_player is None:
+            out.append(wit)
+    return out
+
+
+def _knife_edge_game(rng, n):
+    """Random game whose weights are multiples of the threshold
+    denominators, so ``r_i * w_i`` often equals an attainable neighbor sum."""
+    q = rng.choice((2, 3, 4, 5))
+    ids = range(1, n + 1)
+    edges = [
+        (u, v, q * rng.randint(1, 3))
+        for u in ids
+        for v in ids
+        if u < v and rng.random() < 0.6
+    ]
+    thresholds = {v: Fraction(rng.randint(1, q - 1), q) for v in ids}
+    coordinating = [v for v in ids if rng.random() < 0.8]
+    return Game(WeightedGraph(ids, edges), coordinating, thresholds)
+
+
+@pytest.mark.parametrize("mode", ["strict", "weak"])
+def test_pruned_search_matches_ascending_scan(mode):
+    rng = random.Random(29)
+    checked = 0
+    for trial in range(160):
+        n = rng.randint(2, 8)
+        if trial % 2:
+            game = _knife_edge_game(rng, n)
+        else:
+            game = cg.random_game(
+                rng, n, edge_prob=Fraction(3, 5), coord_frac=Fraction(4, 5), max_weight=4
+            )
+        members = sorted(game.coordinating)
+        if len(members) < 2:
+            continue
+        th = {v: game.thresholds[v] for v in members}
+        expected = _ascending_decompositions(game.graph, members, th, mode)
+        report = indecomposability(game.graph, members, th, mode=mode)
+        assert report.holds == (not expected)
+        assert report.witness == (expected[0] if expected else None)
+        assert list(decomposition_witnesses(game.graph, members, th, mode)) == expected
+        checked += 1
+    assert checked > 100
+
+
+@pytest.mark.parametrize("mode", ["strict", "weak"])
+def test_pruned_search_stays_small_on_k30(mode):
+    ids = range(1, 31)
+    graph = WeightedGraph(ids, [(u, v, 1) for u in ids for v in ids if u < v])
+    report = indecomposability(graph, ids, Fraction(1, 10), mode=mode)
+    assert report.holds and report.witness is None
+    # an unpruned search tree over 30 members has 2^31 - 2 nodes
+    assert report.partitions_checked < 10_000
+
+
+def test_predicates_share_the_game_threshold_check(games):
+    graph = games["k3"].graph
+    for bad in (0, 1, "5/4"):
+        with pytest.raises(GameInputError) as from_game:
+            Game(graph, {1, 2}, bad)
+        assert "strictly between 0 and 1" in str(from_game.value)
+        for check in (cohesiveness, indecomposability):
+            with pytest.raises(GameInputError) as from_structure:
+                check(graph, [1, 2], bad)
+            assert str(from_structure.value) == str(from_game.value)
 
 
 def test_bad_mode_rejected(games):
