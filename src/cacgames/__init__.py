@@ -46,7 +46,6 @@ from .dynamics import (
     Trajectory,
     br_transitions,
     construct_consensus_path,
-    forward_global_reachability,
     global_reachability,
     reachability_from,
     reachable_set,
@@ -96,7 +95,6 @@ __all__ = [
     "fixture",
     "fixture_names",
     "format_rational",
-    "forward_global_reachability",
     "game_cohesiveness",
     "game_indecomposability",
     "global_reachability",

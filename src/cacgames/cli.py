@@ -30,7 +30,7 @@ from .errors import (
     SizeCapError,
 )
 from .fixtures import FIXTURES, fixture, fixture_names
-from .game import Game, consensus_equilibria, enumerate_nash
+from .game import Game, _configurations, consensus_equilibria, enumerate_nash
 from .gamefile import load_game, serialize_game, to_dot
 from .generate import random_game
 from .rationals import as_rational, format_rational
@@ -121,21 +121,11 @@ def _parse_pattern(game: Game, pattern: str) -> list:
         raise GameInputError(
             f"pattern must be {game.n} characters of 0, 1 or *, got {pattern!r}"
         )
-    stars = [k for k, c in enumerate(pattern) if c == "*"]
-    if len(stars) > 16:
+    if pattern.count("*") > 16:
         raise GameInputError("too many wildcards (limit 16)")
-    base = 0
-    for k, c in enumerate(pattern):
-        if c == "1":
-            base |= 1 << k
-    masks = []
-    for combo in range(1 << len(stars)):
-        x = base
-        for t, k in enumerate(stars):
-            if combo >> t & 1:
-                x |= 1 << k
-        masks.append(x)
-    return sorted(masks)
+    base = sum(1 << k for k, c in enumerate(pattern) if c == "1")
+    free = sum(1 << k for k, c in enumerate(pattern) if c == "*")
+    return list(_configurations(base, free))
 
 
 def _nash_target(game: Game, which: str, cap: int) -> list:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 import warnings
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional
@@ -89,21 +90,83 @@ def br_transitions(game: Game, x: int) -> list:
     return out
 
 
+class _Layers(dict):
+    """Sparse layer storage: a configuration outside the closure reads 0."""
+
+    def __missing__(self, x: int) -> int:
+        return 0
+
+
+def _closure(game: Game, sources, depth, backward: bool) -> None:
+    """Breadth-first closure of ``sources`` under best-response moves.
+
+    Stores each reached configuration's layer in ``depth`` (1 + moves to the
+    nearest source; 0 means outside).  A backward closure follows moves into
+    x: player k can move into x exactly when x's own bit at k is a best
+    response against x.
+    """
+    along = 0 if backward else 1
+    br = game._br_bits
+    n = game.n
+    frontier = deque(sources)
+    for x in frontier:
+        depth[x] = 1
+    while frontier:
+        x = frontier.popleft()
+        layer = depth[x] + 1
+        for k in range(n):
+            if br(k, x) >> ((x >> k & 1) ^ along) & 1:
+                y = x ^ (1 << k)
+                if not depth[y]:
+                    depth[y] = layer
+                    frontier.append(y)
+
+
+def _walk(game: Game, depth, x: int, backward: bool) -> BRPath:
+    """Shortest path between ``x`` and the closure's sources, read from the
+    layers: from ``x`` down, each move is the lowest player index that drops
+    one layer.  The path is returned in the direction of play.
+    """
+    # The mover's action: over a backward closure x moves on to y, so the
+    # action is the one x switches to; over a forward closure y moved into x.
+    along = 1 if backward else 0
+    configs, steps = [x], []
+    for layer in range(depth[x] - 1, 0, -1):
+        for k in range(game.n):
+            y = x ^ (1 << k)
+            action = (x >> k & 1) ^ along
+            if depth[y] == layer and game._br_bits(k, x) >> action & 1:
+                break
+        steps.append((game.nodes[k], action))
+        x = y
+        configs.append(x)
+    if not backward:
+        configs.reverse()
+        steps.reverse()
+    return BRPath(tuple(steps), tuple(configs))
+
+
+def _check_config(game: Game, x, what: str) -> None:
+    if not isinstance(x, int) or not 0 <= x < 1 << game.n:
+        raise GameInputError(f"{what} configuration {x!r} is out of range")
+
+
+def _target_set(game: Game, target: Iterable) -> frozenset:
+    target_set = frozenset(target)
+    if not target_set:
+        raise GameInputError("target set must be non-empty")
+    for t in target_set:
+        _check_config(game, t, "target")
+    return target_set
+
+
 def reachable_set(game: Game, x0: int, cap: int = DEFAULT_ENUM_CAP) -> set:
     """Forward closure of one configuration under best-response moves."""
     _check_cap(game, cap)
-    seen = {x0}
-    frontier = deque((x0,))
-    while frontier:
-        x = frontier.popleft()
-        for k in range(game.n):
-            cur = x >> k & 1
-            if game._br_bits(k, x) >> (1 - cur) & 1:
-                nxt = x ^ (1 << k)
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-    return seen
+    _check_config(game, x0, "source")
+    depth = _Layers()
+    _closure(game, (x0,), depth, backward=False)
+    return set(depth)
 
 
 @dataclass(frozen=True)
@@ -123,54 +186,25 @@ class ReachabilityReport:
     witness: Optional[BRPath]
 
 
-def _witness_path(game: Game, x0: int, parents: dict, hit: int) -> BRPath:
-    steps = []
-    configs = [hit]
-    x = hit
-    while x != x0:
-        prev, node, action = parents[x]
-        steps.append((node, action))
-        configs.append(prev)
-        x = prev
-    steps.reverse()
-    configs.reverse()
-    return BRPath(tuple(steps), tuple(configs))
-
-
 def reachability_from(
     game: Game, x0: int, target: Iterable, cap: int = DEFAULT_ENUM_CAP
 ) -> ReachabilityReport:
-    """Forward search from one configuration toward a target set.
+    """Forward closure of one configuration, checked against a target set.
 
-    The returned witness path is a shortest one (in moves).  When the target
-    cannot be reached, the whole forward closure is reported as trapped.
+    The witness ends at the lowest of the nearest targets and is read back
+    from the closure's layers.  When the target cannot be reached, the whole
+    forward closure is reported as trapped.
     """
     _check_cap(game, cap)
-    target_set = frozenset(target)
-    if not target_set:
-        raise GameInputError("target set must be non-empty")
-    parents = {x0: None}
-    order = deque((x0,))
-    hit = x0 if x0 in target_set else None
-    while order:
-        x = order.popleft()
-        for k in range(game.n):
-            cur = x >> k & 1
-            if game._br_bits(k, x) >> (1 - cur) & 1:
-                nxt = x ^ (1 << k)
-                if nxt not in parents:
-                    parents[nxt] = (x, game.nodes[k], 1 - cur)
-                    if hit is None and nxt in target_set:
-                        hit = nxt
-                    order.append(nxt)
-    closure_size = len(parents)
-    if hit is None:
-        return ReachabilityReport(
-            x0, False, closure_size, frozenset(parents), None
-        )
-    return ReachabilityReport(
-        x0, True, closure_size, frozenset(), _witness_path(game, x0, parents, hit)
-    )
+    target_set = _target_set(game, target)
+    _check_config(game, x0, "source")
+    depth = _Layers()
+    _closure(game, (x0,), depth, backward=False)
+    nearest = min(((depth[t], t) for t in target_set if depth[t]), default=None)
+    if nearest is None:
+        return ReachabilityReport(x0, False, len(depth), frozenset(depth), None)
+    witness = _walk(game, depth, nearest[1], backward=False)
+    return ReachabilityReport(x0, True, len(depth), frozenset(), witness)
 
 
 def global_reachability(
@@ -178,73 +212,19 @@ def global_reachability(
 ) -> ReachabilityReport:
     """Decide whether the target set is reachable from every configuration.
 
-    Works backward from the target: a predecessor of x along player k exists
-    exactly when x's own bit at k is a best response against x (the player's
-    own entry does not matter), so predecessors can be generated locally
-    without materializing the transition graph.
+    Works backward from the target.  When every configuration is reached,
+    the witness is the path from configuration 0 read from the same closure.
     """
     _check_cap(game, cap)
-    target_set = frozenset(target)
-    if not target_set:
-        raise GameInputError("target set must be non-empty")
+    target_set = _target_set(game, target)
     n_states = 1 << game.n
-    for t in target_set:
-        if not 0 <= t < n_states:
-            raise GameInputError(f"target configuration {t!r} is out of range")
-    closed = bytearray(n_states)
-    frontier = deque()
-    for t in target_set:
-        closed[t] = 1
-        frontier.append(t)
-    count = len(target_set)
-    while frontier:
-        x = frontier.popleft()
-        for k in range(game.n):
-            if game._br_bits(k, x) >> (x >> k & 1) & 1:
-                prev = x ^ (1 << k)
-                if not closed[prev]:
-                    closed[prev] = 1
-                    count += 1
-                    frontier.append(prev)
+    depth = array("I", [0]) * n_states
+    _closure(game, target_set, depth, backward=True)
+    count = n_states - depth.count(0)
     reached = count == n_states
-    traps = frozenset(x for x in range(n_states) if not closed[x])
-    witness = None
-    if reached:
-        witness = reachability_from(game, 0, target_set, cap).witness
+    traps = frozenset(x for x in range(n_states) if not depth[x])
+    witness = _walk(game, depth, 0, backward=True) if reached else None
     return ReachabilityReport("all", reached, count, traps, witness)
-
-
-def forward_global_reachability(
-    game: Game, target: Iterable, cap: int = DEFAULT_ENUM_CAP
-) -> bool:
-    """Independent forward-search check of global reachability.
-
-    Runs one bounded search per source configuration; kept as a second route
-    for cross-checking the backward closure on small instances.
-    """
-    _check_cap(game, cap)
-    target_set = frozenset(target)
-    if not target_set:
-        raise GameInputError("target set must be non-empty")
-    for x0 in range(1 << game.n):
-        seen = {x0}
-        stack = [x0]
-        found = x0 in target_set
-        while stack and not found:
-            x = stack.pop()
-            for k in range(game.n):
-                cur = x >> k & 1
-                if game._br_bits(k, x) >> (1 - cur) & 1:
-                    nxt = x ^ (1 << k)
-                    if nxt in target_set:
-                        found = True
-                        break
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        stack.append(nxt)
-        if not found:
-            return False
-    return True
 
 
 # -- constructive path to a consensus equilibrium -----------------------

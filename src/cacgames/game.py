@@ -283,6 +283,18 @@ def _check_cap(game: Game, cap: int) -> None:
         )
 
 
+def _configurations(base: int, free: int):
+    """Every configuration that agrees with ``base`` outside the ``free``
+    bits, ascending.  ``base`` must have no bit inside ``free``.
+    """
+    sub = 0
+    while True:
+        yield base | sub
+        sub = (sub - free) & free
+        if not sub:
+            return
+
+
 def enumerate_nash(game: Game, cap: int = DEFAULT_ENUM_CAP) -> list:
     """All pure equilibria as masks, ascending."""
     _check_cap(game, cap)
@@ -300,15 +312,8 @@ def consensus_equilibria(game: Game, action=None, cap: int = DEFAULT_ENUM_CAP) -
     if action not in (0, 1, None):
         raise GameInputError(f"action must be 0, 1 or None, got {action!r}")
     actions = (0, 1) if action is None else (action,)
-    anti_positions = [k for k in range(game.n) if game.anti_mask >> k & 1]
     found = set()
     for a in actions:
         base = game.coord_mask if a == 1 else 0
-        for zc in range(1 << len(anti_positions)):
-            x = base
-            for t, pos in enumerate(anti_positions):
-                if zc >> t & 1:
-                    x |= 1 << pos
-            if is_nash(game, x):
-                found.add(x)
+        found.update(x for x in _configurations(base, game.anti_mask) if is_nash(game, x))
     return sorted(found)

@@ -9,7 +9,7 @@ graph never stores or returns floats.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Tuple
+from typing import Iterable, Tuple
 
 from .errors import GameInputError
 from .rationals import as_rational
@@ -123,37 +123,7 @@ class WeightedGraph:
         row = self._adj[node]
         return sum((row[v] for v in row if v in member_set), ZERO)
 
-    def split_degree(self, node, members: Iterable, actions: Mapping) -> tuple:
-        """Edge weight from ``node`` into the subset, split by the members'
-        binary actions.  Returns (weight toward 0-players, weight toward
-        1-players); the two components sum to ``restricted_degree``.
-        """
-        self.index(node)
-        member_set = self._validated(members)
-        toward = [ZERO, ZERO]
-        row = self._adj[node]
-        for v in member_set:
-            if v not in actions:
-                raise GameInputError(f"configuration is missing member {v!r}")
-            a = actions[v]
-            if a not in (0, 1):
-                raise GameInputError(f"action for {v!r} must be 0 or 1, got {a!r}")
-            w = row.get(v)
-            if w is not None:
-                toward[a] += w
-        return toward[0], toward[1]
-
-    # -- derived graphs and subsets -------------------------------------
-
-    def induced(self, members: Iterable) -> "WeightedGraph":
-        """Subgraph on the given nodes, keeping only internal edges."""
-        member_set = self._validated(members)
-        kept = [
-            (u, v, w)
-            for u, v, w in self.edges()
-            if u in member_set and v in member_set
-        ]
-        return WeightedGraph(member_set, kept)
+    # -- subsets -------------------------------------------------------
 
     def mask_of(self, members: Iterable) -> int:
         """Bitmask of a node subset."""

@@ -22,9 +22,14 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
 from .errors import DegenerateNodeError, GameInputError, SizeCapError
-from .game import DEFAULT_ENUM_CAP, Game, _threshold_map
+from .game import DEFAULT_ENUM_CAP, Game, _configurations, _threshold_map
 from .game import utility as _full_utility
 from .graph import WeightedGraph, ZERO
+
+# Search nodes the partition search may visit before it gives up with
+# SizeCapError.  A hard seeded 38-member instance needs 1.4M nodes; without
+# a cap, nothing below the 64-node graph limit would bound the search.
+PARTITION_NODE_CAP = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -161,7 +166,8 @@ class _PartitionScan:
         before part0, so leaves come in ascending ``mask0`` order.  A cut
         only grows as more members are assigned, so a branch is pruned as
         soon as one assigned member is over its budget.  Every assignment
-        tried counts in ``nodes_visited``.
+        tried counts in ``nodes_visited``; past ``PARTITION_NODE_CAP`` of
+        them the search raises SizeCapError.
         """
         cut = [0] * self.m
         full = (1 << self.m) - 1
@@ -173,6 +179,11 @@ class _PartitionScan:
                 return
             for bit in (0, 1):
                 self.nodes_visited += 1
+                if self.nodes_visited > PARTITION_NODE_CAP:
+                    raise SizeCapError(
+                        f"partition search over {self.m} members passed "
+                        f"{PARTITION_NODE_CAP} nodes without a verdict"
+                    )
                 crossed = [(j, wk, wj) for j, wk, wj in self.above[k] if (mask0 >> j & 1) != bit]
                 for j, wk, wj in crossed:
                     cut[k] += wk
@@ -234,7 +245,8 @@ def indecomposability(
     part and stops at the first one; that partition is reported as the
     witness, the same one an exhaustive ascending scan would find.
     With fewer than two members no partition exists, so the predicate holds
-    trivially (a warning is emitted).
+    trivially (a warning is emitted).  A search that passes
+    ``PARTITION_NODE_CAP`` nodes raises SizeCapError.
     """
     scan = _PartitionScan(graph, members, thresholds, mode)
     if scan.m < 2:
@@ -376,18 +388,11 @@ class RestrictedGame:
             raise SizeCapError(
                 f"restricted scan over {len(positions)} players exceeds the cap of {cap}"
             )
-        base = self.fixed & ~self.moving_mask
-        out = []
-        for sub in range(1 << len(positions)):
-            x = base
-            for t, pos in enumerate(positions):
-                if sub >> t & 1:
-                    x |= 1 << pos
-            if all(
-                game._br_bits(k, x) >> (x >> k & 1) & 1 for k in positions
-            ):
-                out.append(x)
-        return out
+        return [
+            x
+            for x in _configurations(self.fixed & ~self.moving_mask, self.moving_mask)
+            if all(game._br_bits(k, x) >> (x >> k & 1) & 1 for k in positions)
+        ]
 
 
 def _cleared_coefficient(game: Game, k: int, x: int) -> Fraction:

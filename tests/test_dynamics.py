@@ -2,6 +2,7 @@
 
 import random
 import warnings
+from collections import deque
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,6 @@ from cacgames import (
     construct_consensus_path,
     coordination_potential,
     enumerate_nash,
-    forward_global_reachability,
     global_reachability,
     is_nash,
     reachability_from,
@@ -159,6 +159,117 @@ def test_empty_target_rejected(games):
         reachability_from(games["k3"], 0, [])
 
 
+def test_out_of_range_configurations_rejected(games):
+    k3 = games["k3"]
+    for bad in (8, 99, -1, "0"):
+        with pytest.raises(GameInputError, match="source configuration"):
+            reachable_set(k3, bad)
+        with pytest.raises(GameInputError, match="source configuration"):
+            reachability_from(k3, bad, [0])
+        with pytest.raises(GameInputError, match="target configuration"):
+            reachability_from(k3, 0, [0, bad])
+        with pytest.raises(GameInputError, match="target configuration"):
+            global_reachability(k3, [0, bad])
+
+
+def test_witness_tie_break_is_pinned(games):
+    # Lowest player index that drops a layer; single sources end at the
+    # lowest of the nearest targets.  A faster engine must keep these.
+    k3 = games["k3"]
+    witness = global_reachability(k3, enumerate_nash(k3)).witness
+    assert (witness.steps, witness.configs) == (((3, 1),), (0b000, 0b100))
+    fig1 = games["fig1"]
+    witness = global_reachability(fig1, enumerate_nash(fig1)).witness
+    assert witness.steps == (
+        (9, 1), (10, 1), (12, 1), (1, 1), (2, 1), (7, 1), (8, 1), (12, 0)
+    )
+    fig5 = games["fig5"]
+    x0 = fig5.parse_bits("01100100010")
+    witness = reachability_from(fig5, x0, cg.consensus_equilibria(fig5)).witness
+    assert witness.steps == ((5, 1), (4, 1), (1, 1))
+    assert [fig5.format_bits(x) for x in witness.configs] == [
+        "01100100010", "01101100010", "01111100010", "11111100010"
+    ]
+
+
+def _forward_global_reachability(game, target):
+    """Oracle: one depth-first search per source configuration, independent
+    of the library's closure."""
+    target_set = frozenset(target)
+    for x0 in range(1 << game.n):
+        seen = {x0}
+        stack = [x0]
+        found = x0 in target_set
+        while stack and not found:
+            x = stack.pop()
+            for k in range(game.n):
+                cur = x >> k & 1
+                if game._br_bits(k, x) >> (1 - cur) & 1:
+                    nxt = x ^ (1 << k)
+                    if nxt in target_set:
+                        found = True
+                        break
+                    if nxt not in seen:
+                        seen.add(nxt)
+                        stack.append(nxt)
+        if not found:
+            return False
+    return True
+
+
+def _bfs_distances(game, x0):
+    """Oracle: moves from x0 to every configuration it reaches, by a plain
+    breadth-first search over ``br_transitions``."""
+    dist = {x0: 0}
+    queue = deque((x0,))
+    while queue:
+        x = queue.popleft()
+        for _, _, y in br_transitions(game, x):
+            if y not in dist:
+                dist[y] = dist[x] + 1
+                queue.append(y)
+    return dist
+
+
+def test_closure_matches_per_source_bfs(knife_edge_game):
+    rng = random.Random(23)
+    for trial in range(100):
+        n = rng.randint(1, 8)
+        if trial % 2:
+            game = knife_edge_game(rng, n)
+        else:
+            game = cg.random_game(rng, n, max_weight=4)
+        states = 1 << game.n
+        target = enumerate_nash(game) or rng.sample(range(states), min(2, states))
+        shortest = {}
+        for x0 in range(states):
+            dist = _bfs_distances(game, x0)
+            assert reachable_set(game, x0) == set(dist)
+            report = reachability_from(game, x0, target)
+            assert report.reachable_count == len(dist)
+            hits = [dist[t] for t in target if t in dist]
+            assert report.reached == bool(hits)
+            if hits:
+                shortest[x0] = min(hits)
+                assert not report.trap_states
+                validate_br_path(game, report.witness)
+                assert report.witness.start == x0 and report.witness.end in target
+                assert len(report.witness) == shortest[x0]
+            else:
+                assert report.trap_states == frozenset(dist)
+                assert report.witness is None
+        report = global_reachability(game, target)
+        assert report.reachable_count == len(shortest)
+        assert report.trap_states == frozenset(range(states)) - set(shortest)
+        assert report.reached == (len(shortest) == states)
+        if report.reached:
+            validate_br_path(game, report.witness)
+            assert report.witness.start == 0 and report.witness.end in target
+            assert len(report.witness) == shortest[0]
+        else:
+            assert report.witness is None
+
+
 def test_backward_and_forward_reachability_agree():
     rng = random.Random(19)
     checked = 0
@@ -168,7 +279,7 @@ def test_backward_and_forward_reachability_agree():
         if not nash:
             continue
         checked += 1
-        assert global_reachability(game, nash).reached == forward_global_reachability(
+        assert global_reachability(game, nash).reached == _forward_global_reachability(
             game, nash
         )
     assert checked > 10

@@ -20,6 +20,7 @@ from cacgames import (
     utility,
     utility_by_definition,
 )
+from cacgames.game import _configurations
 
 HALF = Fraction(1, 2)
 
@@ -199,6 +200,16 @@ def test_consensus_equilibria_subset_of_nash():
                 assert x in nash
                 part = x & game.coord_mask
                 assert part == (game.coord_mask if action else 0)
+
+
+def test_configurations_walk_one_sub_cube_ascending():
+    rng = random.Random(17)
+    for _ in range(200):
+        n = rng.randint(0, 8)
+        free = rng.getrandbits(n)
+        base = rng.getrandbits(n) & ~free
+        expected = [x for x in range(1 << n) if x & ~free == base]
+        assert list(_configurations(base, free)) == expected
 
 
 def test_enumeration_cap_is_enforced():

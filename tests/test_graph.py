@@ -1,4 +1,4 @@
-"""Graph construction, degree queries, induced subgraphs."""
+"""Graph construction, degree queries, subset masks."""
 
 import random
 from fractions import Fraction
@@ -72,50 +72,6 @@ def test_restricted_degree_additive_over_disjoint_subsets():
             assert g.restricted_degree(v, part_a) + g.restricted_degree(
                 v, part_b
             ) == g.degree(v)
-
-
-def test_split_degree_fixture_values(games):
-    g = games["fig3"].graph
-    actions = {v: 1 if v in (4, 8, 9) else 0 for v in g.nodes}
-    assert g.split_degree(10, g.nodes, actions) == (0, 3)
-
-    zeros = {v: 0 for v in g.nodes}
-    for v in g.nodes:
-        assert g.split_degree(v, g.nodes, zeros) == (g.degree(v), 0)
-
-    pennies = games["pennies"].graph
-    assert pennies.split_degree(1, [2], {2: 1}) == (0, 1)
-
-
-def test_split_degree_components_sum_exactly():
-    rng = random.Random(11)
-    for _ in range(20):
-        game = cg.random_game(rng, rng.randint(2, 8), max_weight=4)
-        g = game.graph
-        members = [v for v in g.nodes if rng.random() < 0.7]
-        actions = {v: rng.randint(0, 1) for v in members}
-        for v in g.nodes:
-            lo, hi = g.split_degree(v, members, actions)
-            assert lo + hi == g.restricted_degree(v, members)
-
-
-def test_split_degree_requires_total_configuration(games):
-    g = games["pennies"].graph
-    with pytest.raises(GameInputError, match="missing member"):
-        g.split_degree(1, [2], {})
-
-
-def test_induced_subgraph_keeps_internal_edges_only(games):
-    core = games["fig5"].graph.induced(range(1, 7))
-    assert len(core) == 6
-    assert len(core.edges()) == 15
-    assert all(w == 1 for _, _, w in core.edges())
-
-    empty = games["fig5"].graph.induced([])
-    assert len(empty) == 0 and empty.edges() == []
-
-    pair = games["fig2c"].graph.induced([2, 3])
-    assert pair.edges() == []
 
 
 def test_mask_round_trip(games):

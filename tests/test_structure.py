@@ -12,6 +12,7 @@ from cacgames import (
     Game,
     GameInputError,
     RestrictedGame,
+    SizeCapError,
     WeightedGraph,
     anticoordination_potential,
     cohesiveness,
@@ -22,6 +23,7 @@ from cacgames import (
     partition_certificate,
     utility,
 )
+from cacgames.cli import main
 from cacgames.graph import ZERO
 
 HALF = Fraction(1, 2)
@@ -153,30 +155,14 @@ def _ascending_decompositions(graph, members, th, mode):
     return out
 
 
-def _knife_edge_game(rng, n):
-    """Random game whose weights are multiples of the threshold
-    denominators, so ``r_i * w_i`` often equals an attainable neighbor sum."""
-    q = rng.choice((2, 3, 4, 5))
-    ids = range(1, n + 1)
-    edges = [
-        (u, v, q * rng.randint(1, 3))
-        for u in ids
-        for v in ids
-        if u < v and rng.random() < 0.6
-    ]
-    thresholds = {v: Fraction(rng.randint(1, q - 1), q) for v in ids}
-    coordinating = [v for v in ids if rng.random() < 0.8]
-    return Game(WeightedGraph(ids, edges), coordinating, thresholds)
-
-
 @pytest.mark.parametrize("mode", ["strict", "weak"])
-def test_pruned_search_matches_ascending_scan(mode):
+def test_pruned_search_matches_ascending_scan(mode, knife_edge_game):
     rng = random.Random(29)
     checked = 0
     for trial in range(160):
         n = rng.randint(2, 8)
         if trial % 2:
-            game = _knife_edge_game(rng, n)
+            game = knife_edge_game(rng, n)
         else:
             game = cg.random_game(
                 rng, n, edge_prob=Fraction(3, 5), coord_frac=Fraction(4, 5), max_weight=4
@@ -202,6 +188,22 @@ def test_pruned_search_stays_small_on_k30(mode):
     assert report.holds and report.witness is None
     # an unpruned search tree over 30 members has 2^31 - 2 nodes
     assert report.partitions_checked < 10_000
+
+
+def test_partition_search_stops_at_node_cap(monkeypatch, tmp_path, capsys):
+    ids = range(1, 13)
+    graph = WeightedGraph(ids, [(u, v, 1) for u in ids for v in ids if u < v])
+    tenth = Fraction(1, 10)
+    visited = indecomposability(graph, ids, tenth).partitions_checked
+    monkeypatch.setattr(cg.structure, "PARTITION_NODE_CAP", visited)
+    assert indecomposability(graph, ids, tenth).holds
+    monkeypatch.setattr(cg.structure, "PARTITION_NODE_CAP", visited - 1)
+    with pytest.raises(SizeCapError, match="partition search"):
+        indecomposability(graph, ids, tenth)
+    path = tmp_path / "k12.json"
+    path.write_text(cg.serialize_game(Game(graph, ids, tenth)))
+    assert main(["analyze", str(path)]) == 2
+    assert "partition search over 12 members" in capsys.readouterr().err
 
 
 def test_predicates_share_the_game_threshold_check(games):
