@@ -13,7 +13,6 @@ import argparse
 import json
 import random
 import sys
-import time
 import warnings
 
 from .dynamics import (
@@ -138,7 +137,6 @@ def _nash_target(game: Game, which: str, cap: int) -> list:
 
 
 def cmd_analyze(args) -> int:
-    started = time.perf_counter()
     game = _resolve_game(args.game, r=args.r)
     report = {
         "schema": f"{SCHEMA_PREFIX}-analysis/1",
@@ -197,8 +195,6 @@ def cmd_analyze(args) -> int:
     except SizeCapError as exc:
         report["enumeration"] = {"status": "skipped-size-cap", "detail": str(exc)}
         code = 2
-    if args.timing:
-        report["timing"] = {"seconds": time.perf_counter() - started}
     _emit(report)
     return code
 
@@ -309,7 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="structural predicates, equilibria, reachability")
     _add_game_argument(p)
     p.add_argument("--cap", type=int, default=20, help="player cap for exhaustive scans")
-    p.add_argument("--timing", action="store_true", help="include wall-clock timing (non-deterministic)")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("reach", help="best-response reachability of an equilibrium set")

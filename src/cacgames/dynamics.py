@@ -162,7 +162,7 @@ def _target_set(game: Game, target: Iterable) -> frozenset:
 
 def reachable_set(game: Game, x0: int, cap: int = DEFAULT_ENUM_CAP) -> set:
     """Forward closure of one configuration under best-response moves."""
-    _check_cap(game, cap)
+    _check_cap(game.n, cap)
     _check_config(game, x0, "source")
     depth = _Layers()
     _closure(game, (x0,), depth, backward=False)
@@ -195,7 +195,7 @@ def reachability_from(
     from the closure's layers.  When the target cannot be reached, the whole
     forward closure is reported as trapped.
     """
-    _check_cap(game, cap)
+    _check_cap(game.n, cap)
     target_set = _target_set(game, target)
     _check_config(game, x0, "source")
     depth = _Layers()
@@ -215,7 +215,7 @@ def global_reachability(
     Works backward from the target.  When every configuration is reached,
     the witness is the path from configuration 0 read from the same closure.
     """
-    _check_cap(game, cap)
+    _check_cap(game.n, cap)
     target_set = _target_set(game, target)
     n_states = 1 << game.n
     depth = array("I", [0]) * n_states
@@ -274,6 +274,7 @@ def construct_consensus_path(game: Game, x0: int, mode: str = "strict") -> BRPat
     ``mode="weak"``).  Failure to make progress raises
     GuaranteeViolationError, since the preconditions provably rule it out.
     """
+    _check_config(game, x0, "start")
     coh_one = game_cohesiveness(game, toward=1).holds
     coh_zero = game_cohesiveness(game, toward=0).holds
     if not (coh_one or coh_zero):
@@ -382,6 +383,7 @@ def simulate(
         raise GameInputError(f"unknown scheduler {scheduler!r}; pick one of {SCHEDULERS}")
     if max_steps < 0:
         raise GameInputError("max_steps must be non-negative")
+    _check_config(game, x0, "start")
     rng = random.Random(seed)
     x = x0
     configs = [x0]

@@ -62,16 +62,14 @@ class Game:
     def __init__(self, graph: WeightedGraph, coordinating: Iterable, thresholds):
         self.graph = graph
         nodes = graph.nodes
-        coordinating = frozenset(coordinating)
-        for v in coordinating:
-            graph.index(v)
+        self.coord_mask = graph.mask_of(coordinating)
+        coordinating = frozenset(graph.members_of(self.coord_mask))
         self.coordinating = coordinating
         self.anticoordinating = frozenset(nodes) - coordinating
         self.thresholds = _threshold_map(nodes, thresholds)
 
         n = len(nodes)
         self.n = n
-        self.coord_mask = graph.mask_of(coordinating)
         self.anti_mask = ((1 << n) - 1) ^ self.coord_mask if n else 0
 
         # Per-index tables used by the hot loops.
@@ -154,10 +152,7 @@ class Game:
 
     def mask_of_ones(self, ones: Iterable) -> int:
         """Bitmask with the listed players at 1 and everyone else at 0."""
-        mask = 0
-        for v in ones:
-            mask |= 1 << self.graph.index(v)
-        return mask
+        return self.graph.mask_of(ones)
 
     def actions_of(self, mask: int) -> dict:
         return {v: mask >> k & 1 for k, v in enumerate(self.nodes)}
@@ -276,10 +271,10 @@ def is_nash(game: Game, x: int) -> bool:
     return True
 
 
-def _check_cap(game: Game, cap: int) -> None:
-    if game.n > cap:
+def _check_cap(players: int, cap: int) -> None:
+    if players > cap:
         raise SizeCapError(
-            f"exhaustive scan over {game.n} players exceeds the cap of {cap}"
+            f"exhaustive scan over {players} players exceeds the cap of {cap}"
         )
 
 
@@ -297,7 +292,7 @@ def _configurations(base: int, free: int):
 
 def enumerate_nash(game: Game, cap: int = DEFAULT_ENUM_CAP) -> list:
     """All pure equilibria as masks, ascending."""
-    _check_cap(game, cap)
+    _check_cap(game.n, cap)
     return [x for x in range(1 << game.n) if is_nash(game, x)]
 
 
@@ -308,7 +303,7 @@ def consensus_equilibria(game: Game, action=None, cap: int = DEFAULT_ENUM_CAP) -
     with the coordinating side at consensus are scanned, so this is cheaper
     than filtering ``enumerate_nash``.
     """
-    _check_cap(game, cap)
+    _check_cap(game.n, cap)
     if action not in (0, 1, None):
         raise GameInputError(f"action must be 0, 1 or None, got {action!r}")
     actions = (0, 1) if action is None else (action,)

@@ -7,8 +7,13 @@ A game file is an object with two keys::
 
 Node ids are all ints or all strings.  Rationals travel as "p/q" strings
 (bare integers, as strings or JSON ints, are accepted).  Each undirected
-edge appears exactly once; self-loops, duplicates and conflicting weights
-are rejected with the offending entry named in the diagnostic.
+edge appears exactly once.
+
+This module checks only the file format: the JSON shape, the required
+fields, the role names and the id types.  It hands the node and edge lists
+to ``WeightedGraph`` in file order, so the graph's diagnostics name the
+file's ``nodes[k]`` or ``edges[k]`` entry; the graph owns every id and
+edge check, and ``Game`` converts the thresholds and checks their range.
 Serialization is canonical (sorted nodes and edges, two-space indent), so
 parse followed by serialize reproduces a canonical file byte for byte.
 """
@@ -21,7 +26,7 @@ from typing import Optional
 from .errors import GameInputError
 from .game import Game
 from .graph import WeightedGraph
-from .rationals import as_rational, format_rational
+from .rationals import format_rational
 
 ROLES = ("coordinating", "anticoordinating")
 
@@ -39,67 +44,35 @@ def parse_game(text: str) -> Game:
             raise GameInputError(f"missing or non-list {key!r} entry")
 
     ids = []
-    coordinating = set()
+    coordinating = []
     thresholds = {}
     for k, entry in enumerate(data["nodes"]):
-        where = f"nodes[{k}]"
-        if not isinstance(entry, dict):
-            raise GameInputError(f"{where}: expected an object")
-        try:
-            node_id = entry["id"]
-            role = entry["role"]
-            threshold = entry["threshold"]
-        except KeyError as exc:
-            raise GameInputError(f"{where}: missing field {exc.args[0]!r}") from None
+        node_id, role, threshold = _fields(f"nodes[{k}]", entry, ("id", "role", "threshold"))
         if not isinstance(node_id, (int, str)) or isinstance(node_id, bool):
-            raise GameInputError(f"{where}: id must be an int or string")
-        if node_id in ids:
-            raise GameInputError(f"{where}: duplicate node id {node_id!r}")
+            raise GameInputError(f"nodes[{k}]: id must be an int or string")
         if role not in ROLES:
-            raise GameInputError(f"{where}: role must be one of {ROLES}, got {role!r}")
-        r = as_rational(threshold, what=f"{where}: threshold")
-        if not (0 < r < 1):
-            raise GameInputError(
-                f"{where}: threshold must lie strictly between 0 and 1, got {format_rational(r)}"
-            )
+            raise GameInputError(f"nodes[{k}]: role must be one of {ROLES}, got {role!r}")
         ids.append(node_id)
-        thresholds[node_id] = r
+        thresholds[node_id] = threshold
         if role == "coordinating":
-            coordinating.add(node_id)
+            coordinating.append(node_id)
     if len({type(i) for i in ids}) > 1:
         raise GameInputError("node ids must be all ints or all strings")
+    edges = [
+        _fields(f"edges[{k}]", entry, ("u", "v", "weight"))
+        for k, entry in enumerate(data["edges"])
+    ]
+    return Game(WeightedGraph(ids, edges), coordinating, thresholds)
 
-    edges = []
-    seen = {}
-    for k, entry in enumerate(data["edges"]):
-        where = f"edges[{k}]"
-        if not isinstance(entry, dict):
-            raise GameInputError(f"{where}: expected an object")
-        try:
-            u, v, w = entry["u"], entry["v"], entry["weight"]
-        except KeyError as exc:
-            raise GameInputError(f"{where}: missing field {exc.args[0]!r}") from None
-        if u not in thresholds or v not in thresholds:
-            missing = u if u not in thresholds else v
-            raise GameInputError(f"{where}: unknown node {missing!r}")
-        if u == v:
-            raise GameInputError(f"{where}: self-loop at {u!r}")
-        weight = as_rational(w, what=f"{where}: weight")
-        if weight <= 0:
-            raise GameInputError(f"{where}: weight must be positive, got {w!r}")
-        pair = (u, v) if u < v else (v, u)
-        if pair in seen:
-            if seen[pair] != weight:
-                raise GameInputError(
-                    f"{where}: asymmetric weights for edge {pair!r}: "
-                    f"{format_rational(seen[pair])} vs {format_rational(weight)}"
-                )
-            raise GameInputError(f"{where}: duplicate edge {pair!r}")
-        seen[pair] = weight
-        edges.append((u, v, weight))
 
-    graph = WeightedGraph(ids, edges)
-    return Game(graph, coordinating, thresholds)
+def _fields(where: str, entry, names) -> tuple:
+    """The named fields of one file entry, which must be an object."""
+    if not isinstance(entry, dict):
+        raise GameInputError(f"{where}: expected an object")
+    try:
+        return tuple(entry[name] for name in names)
+    except KeyError as exc:
+        raise GameInputError(f"{where}: missing field {exc.args[0]!r}") from None
 
 
 def load_game(path: str) -> Game:

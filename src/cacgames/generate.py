@@ -38,6 +38,8 @@ def random_game(
     """
     if nodes < 1:
         raise GameInputError("need at least one node")
+    if max_weight < 1:
+        raise GameInputError("max_weight must be at least 1")
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     edge_prob = as_rational(edge_prob, what="edge_prob")
     coord_frac = as_rational(coord_frac, what="coord_frac")
@@ -51,8 +53,6 @@ def random_game(
                 edges.append((u, v, rng.randint(1, max_weight)))
     coordinating = {v for v in ids if rng.random() < coord_frac}
     if threshold == "random":
-        thresholds = {v: random_threshold(rng) for v in ids}
-    else:
-        thresholds = as_rational(threshold, what="threshold")
+        threshold = {v: random_threshold(rng) for v in ids}
     graph = WeightedGraph(ids, edges)
-    return Game(graph, coordinating, thresholds)
+    return Game(graph, coordinating, threshold)

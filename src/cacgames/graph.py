@@ -4,6 +4,14 @@ Node subsets and binary configurations are represented as integer bitmasks
 over the graph's sorted node order (bit k belongs to ``nodes[k]``), which
 caps graphs at 64 nodes.  All arithmetic is done with ``Fraction``; the
 graph never stores or returns floats.
+
+This module owns every check on node ids and edges: duplicate or
+unhashable ids, the node cap, unknown endpoints, self-loops, exact positive
+weights, and repeated or conflicting listings of a pair.  A diagnostic
+names the offending input entry by position, ``nodes[k]`` or ``edges[k]``,
+so for a game file it points at the file's entry.  Member lists are
+checked by ``mask_of``.  Thresholds are checked by ``game._threshold_map``;
+``gamefile`` checks only the file format.
 """
 
 from __future__ import annotations
@@ -12,7 +20,7 @@ from fractions import Fraction
 from typing import Iterable, Tuple
 
 from .errors import GameInputError
-from .rationals import as_rational
+from .rationals import as_rational, format_rational
 
 NODE_CAP = 64
 
@@ -22,16 +30,23 @@ ZERO = Fraction(0)
 class WeightedGraph:
     """Finite undirected graph with positive rational edge weights.
 
-    Node ids must be mutually orderable (all ints or all strings).
-    Self-loops, duplicate edge listings, and conflicting weights for the
-    same pair are rejected at construction.  Instances are treated as
-    immutable once built.
+    Node ids must be hashable and mutually orderable (all ints or all
+    strings).  Self-loops, duplicate edge listings, and conflicting weights
+    for the same pair are rejected at construction.  Instances are treated
+    as immutable once built.
     """
 
     def __init__(self, nodes: Iterable, edges: Iterable[tuple] = ()):
         node_list = list(nodes)
-        if len(set(node_list)) != len(node_list):
-            raise GameInputError("duplicate node ids")
+        seen = set()
+        for k, v in enumerate(node_list):
+            try:
+                repeated = v in seen
+            except TypeError:
+                raise GameInputError(f"nodes[{k}]: unhashable node id {v!r}") from None
+            if repeated:
+                raise GameInputError(f"nodes[{k}]: duplicate node id {v!r}")
+            seen.add(v)
         if len(node_list) > NODE_CAP:
             raise GameInputError(
                 f"{len(node_list)} nodes exceeds the hard cap of {NODE_CAP}"
@@ -42,31 +57,32 @@ class WeightedGraph:
             raise GameInputError("node ids must be mutually orderable") from None
         self._index = {v: k for k, v in enumerate(self._nodes)}
         self._adj: dict = {v: {} for v in self._nodes}
-        for entry in edges:
-            try:
-                u, v, w = entry
-            except (TypeError, ValueError):
-                raise GameInputError(f"edge {entry!r}: expected (u, v, weight)") from None
-            self._add_edge(u, v, w)
+        for k, entry in enumerate(edges):
+            self._add_edge(f"edges[{k}]", entry)
 
-    def _add_edge(self, u, v, w) -> None:
-        if u not in self._index or v not in self._index:
-            missing = u if u not in self._index else v
-            raise GameInputError(f"edge ({u!r}, {v!r}): unknown node {missing!r}")
+    def _add_edge(self, where: str, entry) -> None:
+        try:
+            u, v, w = entry
+        except (TypeError, ValueError):
+            raise GameInputError(f"{where}: expected (u, v, weight)") from None
+        for end in (u, v):
+            if end not in self:
+                raise GameInputError(f"{where}: unknown node {end!r}")
         if u == v:
-            raise GameInputError(f"edge ({u!r}, {v!r}): self-loop")
-        weight = as_rational(w, what=f"edge ({u!r}, {v!r}) weight")
-        if weight < 0:
-            raise GameInputError(f"edge ({u!r}, {v!r}): negative weight {w!r}")
-        if weight == 0:
-            raise GameInputError(f"edge ({u!r}, {v!r}): zero weight (omit non-edges)")
-        if v in self._adj[u]:
-            if self._adj[u][v] != weight:
+            raise GameInputError(f"{where}: self-loop at {u!r}")
+        weight = as_rational(w, what=f"{where}: weight")
+        if weight <= 0:
+            got = f"zero weight {w!r} (omit non-edges)" if weight == 0 else f"negative weight {w!r}"
+            raise GameInputError(f"{where}: weight must be positive, got {got}")
+        listed = self._adj[u].get(v)
+        if listed is not None:
+            pair = (u, v) if self._index[u] < self._index[v] else (v, u)
+            if listed != weight:
                 raise GameInputError(
-                    f"edge ({u!r}, {v!r}): asymmetric weights "
-                    f"{self._adj[u][v]} vs {weight}"
+                    f"{where}: asymmetric weights for edge {pair!r}: "
+                    f"{format_rational(listed)} vs {format_rational(weight)}"
                 )
-            raise GameInputError(f"edge ({u!r}, {v!r}): duplicate listing")
+            raise GameInputError(f"{where}: duplicate edge {pair!r}")
         self._adj[u][v] = weight
         self._adj[v][u] = weight
 
@@ -80,13 +96,16 @@ class WeightedGraph:
         return len(self._nodes)
 
     def __contains__(self, node) -> bool:
-        return node in self._index
+        try:
+            return node in self._index
+        except TypeError:
+            return False
 
     def index(self, node) -> int:
         """Position of a node in the sorted node order (its mask bit)."""
         try:
             return self._index[node]
-        except KeyError:
+        except (KeyError, TypeError):
             raise GameInputError(f"unknown node {node!r}") from None
 
     def neighbors(self, node) -> Tuple:
@@ -119,14 +138,19 @@ class WeightedGraph:
     def restricted_degree(self, node, members: Iterable) -> Fraction:
         """Total edge weight from ``node`` into the given subset."""
         self.index(node)
-        member_set = self._validated(members)
-        row = self._adj[node]
-        return sum((row[v] for v in row if v in member_set), ZERO)
+        return self._weight_into(node, self.mask_of(members))
+
+    def _weight_into(self, node, mask: int) -> Fraction:
+        """``restricted_degree`` for a known node and a subset already
+        turned into a mask by ``mask_of``."""
+        return sum(
+            (w for u, w in self._adj[node].items() if mask >> self._index[u] & 1), ZERO
+        )
 
     # -- subsets -------------------------------------------------------
 
     def mask_of(self, members: Iterable) -> int:
-        """Bitmask of a node subset."""
+        """Bitmask of a node subset; every member must be a node."""
         mask = 0
         for v in members:
             mask |= 1 << self.index(v)
@@ -135,9 +159,3 @@ class WeightedGraph:
     def members_of(self, mask: int) -> tuple:
         """Nodes selected by a bitmask, in ascending order."""
         return tuple(v for k, v in enumerate(self._nodes) if mask >> k & 1)
-
-    def _validated(self, members: Iterable) -> frozenset:
-        member_set = frozenset(members)
-        for v in member_set:
-            self.index(v)
-        return member_set

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
 from .errors import DegenerateNodeError, GameInputError, SizeCapError
-from .game import DEFAULT_ENUM_CAP, Game, _configurations, _threshold_map
+from .game import DEFAULT_ENUM_CAP, Game, _check_cap, _configurations, _threshold_map
 from .game import utility as _full_utility
 from .graph import WeightedGraph, ZERO
 
@@ -52,13 +52,12 @@ def cohesiveness(graph: WeightedGraph, members: Iterable, thresholds) -> Cohesiv
     degree inside ``members``.  Isolated members pass vacuously (0 >= 0).
     The comparison is non-strict.
     """
-    member_list = sorted(set(members))
-    for v in member_list:
-        graph.index(v)
+    mask = graph.mask_of(members)
+    member_list = graph.members_of(mask)
     th = _threshold_map(member_list, thresholds)
     violators = []
     for v in member_list:
-        inside = graph.restricted_degree(v, member_list)
+        inside = graph._weight_into(v, mask)
         required = th[v] * graph.degree(v)
         if inside < required:
             violators.append((v, inside, required))
@@ -112,9 +111,7 @@ class _PartitionScan:
         if mode not in ("strict", "weak"):
             raise GameInputError(f"mode must be 'strict' or 'weak', got {mode!r}")
         self.mode = mode
-        self.members = sorted(set(members))
-        for v in self.members:
-            graph.index(v)
+        self.members = graph.members_of(graph.mask_of(members))
         th = _threshold_map(self.members, thresholds)
         m = len(self.members)
         pos = {v: k for k, v in enumerate(self.members)}
@@ -384,10 +381,7 @@ class RestrictedGame:
         """
         game = self.game
         positions = [k for k in range(game.n) if self.moving_mask >> k & 1]
-        if len(positions) > cap:
-            raise SizeCapError(
-                f"restricted scan over {len(positions)} players exceeds the cap of {cap}"
-            )
+        _check_cap(len(positions), cap)
         return [
             x
             for x in _configurations(self.fixed & ~self.moving_mask, self.moving_mask)

@@ -1,5 +1,6 @@
 """Command-line behavior: reports, exit codes, determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -215,3 +216,71 @@ def test_reports_are_byte_deterministic(capsys):
         _, first, _ = run(capsys, *argv)
         _, second, _ = run(capsys, *argv)
         assert first == second, argv
+
+
+# Exit code and SHA-256 of stdout for each call.  CLI output is meant to
+# stay byte-identical across refactors; a deliberate output change updates
+# this table and names the change in CHANGES.md.
+PINNED_FIXTURE_RUNS = {
+    "analyze fig1": (0, "307773fe6be6dfa6f68d90a0aaba88f84193f23b1c754899c83233076c293352"),
+    "analyze fig1 --r 1/2": (0, "c886696c08c80a5d5746705c31413f78545095ff9e71fdb3d24a01624d067314"),
+    "reach fig1 --all --target nash": (0, "af8cbc69e5e12cbed2f85b9964b1ddaa649f6ec4f57d9974813a46cf875994fe"),
+    "reach fig1 --all --target consensus": (0, "8f0f07fb865b9624e92a9f069e8d0e38b6af081c2cf7ee6d5755cb631adca62d"),
+    "analyze fig2a": (0, "5e58727177be66327a3d5b1a46b0738c21d062927a857c291e019ae0cb5f6bf9"),
+    "analyze fig2a --r 1/2": (0, "5e58727177be66327a3d5b1a46b0738c21d062927a857c291e019ae0cb5f6bf9"),
+    "reach fig2a --all --target nash": (0, "4c4d369978138d443f3a6d71e2c2f2780e7e9e7871ee4bf3b70fb019b3db9bc1"),
+    "reach fig2a --all --target consensus": (0, "1912966b60a135e3c98de6a10df3863ef06125732aa8f3f3dae92fb92f3a8f04"),
+    "analyze fig2b": (0, "1e4c65bfe14cd83bd34383e48d29ef23dc0e38b56caefb9430e46fbddfe456b5"),
+    "analyze fig2b --r 1/2": (0, "1e4c65bfe14cd83bd34383e48d29ef23dc0e38b56caefb9430e46fbddfe456b5"),
+    "reach fig2b --all --target nash": (0, "43992e38316c4bf82d5fda099090332aca5c301ffa158d66f63b9bcaeb3975be"),
+    "reach fig2b --all --target consensus": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "analyze fig2c": (0, "760939215f64762816882d0e8a0b8f25999249328394535fe8146e925468ac75"),
+    "analyze fig2c --r 1/2": (0, "760939215f64762816882d0e8a0b8f25999249328394535fe8146e925468ac75"),
+    "reach fig2c --all --target nash": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "reach fig2c --all --target consensus": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "analyze fig3": (0, "18fb98f456f585e15c52c1544a1ed64735c04f5be9aeb81817303f47cceddad6"),
+    "analyze fig3 --r 1/2": (0, "18fb98f456f585e15c52c1544a1ed64735c04f5be9aeb81817303f47cceddad6"),
+    "reach fig3 --all --target nash": (0, "a7c5ace0d3ec9e42c0b4df8fbf1f096097713ff40ce2e3cdd00fd7a695ed6f47"),
+    "reach fig3 --all --target consensus": (0, "8fe8306954b2238e279e3e9dfdba2e251e93439bed8eb2b8b541246381b26480"),
+    "analyze fig4": (0, "1218d4346bf91f5eb82b2734c2bdeb05fad3d5eb8b2df98d40cdc3ed934dc9c7"),
+    "analyze fig4 --r 1/2": (0, "1218d4346bf91f5eb82b2734c2bdeb05fad3d5eb8b2df98d40cdc3ed934dc9c7"),
+    "reach fig4 --all --target nash": (0, "a24688548efb2458cfeec81155143d7aff205dc096bcfd439da55d148906db3b"),
+    "reach fig4 --all --target consensus": (0, "de30cc9a3a083b684cde21ac86691a5de7c5d8572ceb93a2d2c30cedfb106844"),
+    "analyze fig5": (0, "e1f04d592c80587f6b61321a80ada3347f85029b3eef7335aa9e054cbdab161b"),
+    "analyze fig5 --r 1/2": (0, "e1f04d592c80587f6b61321a80ada3347f85029b3eef7335aa9e054cbdab161b"),
+    "reach fig5 --all --target nash": (0, "fbb4be13604147c33dc3f664dff7b841689cdc431f137e19f3b8f22ceee109a5"),
+    "reach fig5 --all --target consensus": (0, "1fbd895a98ed7af7b4917fb3c2da7bfaf5194442239f4d1c8371352543ab9587"),
+    "analyze k3": (0, "9574ca85bfe0aa955533a0ad6ce669821f0df2697deb4ade303308d3a40ed632"),
+    "analyze k3 --r 1/2": (0, "9574ca85bfe0aa955533a0ad6ce669821f0df2697deb4ade303308d3a40ed632"),
+    "reach k3 --all --target nash": (0, "4688120785cdd9661cfa8fe0d67d8f015b637438aacec8d8dc5726c42fdaf71a"),
+    "reach k3 --all --target consensus": (0, "c33ab552fad6c3bd13d64e0fd9f267653efb8e7a6c7319adf6e7265ec6171ff3"),
+    "analyze pennies": (0, "f0c173f29e2fcd2111838174e189eb559fb3f41a56c4b1b35fd64180f8245174"),
+    "analyze pennies --r 1/2": (0, "f0c173f29e2fcd2111838174e189eb559fb3f41a56c4b1b35fd64180f8245174"),
+    "reach pennies --all --target nash": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "reach pennies --all --target consensus": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+}
+
+# ``analyze -`` on the output of ``gen`` with these arguments.
+PINNED_GENERATED_RUNS = {
+    "--nodes 8 --seed 1": (0, "351c3c926e2fb46699aa6195a2ffd8d61cf96347616f7c2b874da8643b12b227"),
+    "--nodes 10 --seed 2 --edge-prob 1/3 --max-weight 3": (0, "dfee2809508bcdf305e0ef1260d3813ce29c699d949f07ef5277e31ac7f7bf11"),
+    "--nodes 9 --seed 5 --coord-frac 1 --threshold 1/3": (0, "6d82927caa85badb29eb019d1a1899a38d15713455a9b2e1c0e6505ef382524b"),
+}
+
+
+def _stdout_digest(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    return code, hashlib.sha256(out.encode()).hexdigest()
+
+
+def test_cli_output_matches_pinned_digests(capsys, monkeypatch):
+    import io
+
+    got = {
+        key: _stdout_digest(capsys, key.split()) for key in PINNED_FIXTURE_RUNS
+    }
+    assert got == PINNED_FIXTURE_RUNS
+    for key, expected in PINNED_GENERATED_RUNS.items():
+        _, text, _ = run(capsys, "gen", *key.split())
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        assert _stdout_digest(capsys, ("analyze", "-")) == expected, key

@@ -170,6 +170,10 @@ def test_out_of_range_configurations_rejected(games):
             reachability_from(k3, 0, [0, bad])
         with pytest.raises(GameInputError, match="target configuration"):
             global_reachability(k3, [0, bad])
+        with pytest.raises(GameInputError, match="start configuration"):
+            simulate(k3, bad)
+        with pytest.raises(GameInputError, match="start configuration"):
+            construct_consensus_path(k3, bad, mode="weak")
 
 
 def test_witness_tie_break_is_pinned(games):

@@ -70,11 +70,10 @@ def _node(i, role="coordinating", threshold="1/2"):
     return {"id": i, "role": role, "threshold": threshold}
 
 
-def test_parse_diagnostics_name_the_offending_entry():
-    import re
-
+def _malformed_files():
+    """(file text, diagnostic fragment) pairs, one fault per file."""
     base = [_node(1), _node(2, role="anticoordinating")]
-    cases = [
+    return [
         (_file(base, [{"u": 1, "v": 1, "weight": "1"}]), "edges[0]: self-loop"),
         (
             _file(base, [{"u": 1, "v": 2, "weight": "1"}, {"u": 2, "v": 1, "weight": "1"}]),
@@ -92,10 +91,28 @@ def test_parse_diagnostics_name_the_offending_entry():
         (_file([_node(1, threshold="0")], []), "between 0 and 1"),
         (_file([_node(1, role="leader")], []), "role"),
         (_file([_node(1), _node(1)], []), "duplicate node id"),
+        (_file(base, [{"u": [1], "v": 2, "weight": "1"}]), "edges[0]: unknown node [1]"),
+        (_file(base, [{"u": 1, "v": {"a": 1}, "weight": "1"}]), "edges[0]: unknown node"),
     ]
-    for text, fragment in cases:
+
+
+def test_parse_diagnostics_name_the_offending_entry():
+    import re
+
+    for text, fragment in _malformed_files():
         with pytest.raises(GameInputError, match=re.escape(fragment)):
             parse_game(text)
+
+
+def test_cli_rejects_every_malformed_file_with_exit_1(tmp_path, capsys):
+    from cacgames.cli import main
+
+    for k, (text, _) in enumerate(_malformed_files()):
+        path = tmp_path / f"bad{k}.json"
+        path.write_text(text)
+        assert main(["analyze", str(path)]) == 1, text
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:"), text
 
 
 def test_parse_reports_json_syntax_position():
@@ -163,3 +180,5 @@ def test_generator_rejects_bad_parameters():
         cg.random_game(0, 0)
     with pytest.raises(GameInputError):
         cg.random_game(0, 3, edge_prob=2)
+    with pytest.raises(GameInputError, match="max_weight"):
+        cg.random_game(0, 5, edge_prob=1, max_weight=0)

@@ -33,6 +33,19 @@ def test_rejects_unknown_endpoint_and_float():
         WeightedGraph([1, 2], [(1, 3, 1)])
     with pytest.raises(GameInputError, match="floating point"):
         WeightedGraph([1, 2], [(1, 2, 0.5)])
+    with pytest.raises(GameInputError, match=r"edges\[0\]: unknown node \[1\]"):
+        WeightedGraph([1, 2], [([1], 2, 1)])
+
+
+def test_diagnostics_name_the_entry_position():
+    with pytest.raises(GameInputError, match=r"nodes\[2\]: duplicate node id 1"):
+        WeightedGraph([1, 2, 1])
+    with pytest.raises(GameInputError, match=r"nodes\[1\]: unhashable node id"):
+        WeightedGraph([1, [2]])
+    with pytest.raises(GameInputError, match=r"edges\[2\]: self-loop at 3"):
+        WeightedGraph([1, 2, 3], [(1, 2, 1), (2, 3, 1), (3, 3, 1)])
+    with pytest.raises(GameInputError, match=r"edges\[1\]: expected \(u, v, weight\)"):
+        WeightedGraph([1, 2], [(1, 2, 1), (1, 2)])
 
 
 def test_rejects_too_many_nodes():
