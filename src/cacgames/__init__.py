@@ -15,7 +15,7 @@ from .graph import NODE_CAP, WeightedGraph
 from .game import (
     ANTICOORDINATING,
     COORDINATING,
-    DEFAULT_ENUM_CAP,
+    ENUM_CAP,
     Game,
     best_response,
     best_response_by_definition,
@@ -64,8 +64,8 @@ __all__ = [
     "BRPath",
     "COORDINATING",
     "CohesivenessReport",
-    "DEFAULT_ENUM_CAP",
     "DegenerateNodeError",
+    "ENUM_CAP",
     "FIXTURES",
     "Game",
     "GameInputError",

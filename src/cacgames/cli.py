@@ -127,10 +127,10 @@ def _parse_pattern(game: Game, pattern: str) -> list:
     return list(_configurations(base, free))
 
 
-def _nash_target(game: Game, which: str, cap: int) -> list:
+def _nash_target(game: Game, which: str) -> list:
     if which == "nash":
-        return enumerate_nash(game, cap=cap)
-    return consensus_equilibria(game, cap=cap)
+        return enumerate_nash(game)
+    return consensus_equilibria(game)
 
 
 # -- subcommands ---------------------------------------------------------
@@ -165,9 +165,9 @@ def cmd_analyze(args) -> int:
     }
     code = 0
     try:
-        nash = enumerate_nash(game, cap=args.cap)
-        ones = consensus_equilibria(game, action=1, cap=args.cap)
-        zeros = consensus_equilibria(game, action=0, cap=args.cap)
+        nash = enumerate_nash(game)
+        ones = consensus_equilibria(game, action=1)
+        zeros = consensus_equilibria(game, action=0)
         report["nash_count"] = len(nash)
         report["nash"] = [game.format_bits(x) for x in nash]
         report["consensus_equilibria"] = {
@@ -184,7 +184,7 @@ def cmd_analyze(args) -> int:
         if target is None:
             report["reachability"] = {"status": "not-applicable"}
         else:
-            reach = global_reachability(game, target, cap=args.cap)
+            reach = global_reachability(game, target)
             report["reachability"] = {
                 "status": "ok",
                 "target": target_name,
@@ -201,14 +201,14 @@ def cmd_analyze(args) -> int:
 
 def cmd_reach(args) -> int:
     game = _resolve_game(args.game, r=args.r)
-    target = _nash_target(game, args.target, args.cap)
+    target = _nash_target(game, args.target)
     if args.all:
-        report = global_reachability(game, target, cap=args.cap)
+        report = global_reachability(game, target)
         _emit(_reach_json(game, report, args.target, len(target)))
         return 0
     sources = _parse_pattern(game, args.from_)
     reports = [
-        _reach_json(game, reachability_from(game, x0, target, cap=args.cap), args.target, len(target))
+        _reach_json(game, reachability_from(game, x0, target), args.target, len(target))
         for x0 in sources
     ]
     _emit(reports[0] if len(reports) == 1 else reports)
@@ -304,7 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="structural predicates, equilibria, reachability")
     _add_game_argument(p)
-    p.add_argument("--cap", type=int, default=20, help="player cap for exhaustive scans")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("reach", help="best-response reachability of an equilibrium set")
@@ -313,7 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--from", dest="from_", metavar="BITS", help="source configuration (0/1/*, ascending node id)")
     group.add_argument("--all", action="store_true", help="check every configuration")
     p.add_argument("--target", choices=("nash", "consensus"), default="nash")
-    p.add_argument("--cap", type=int, default=20)
     p.set_defaults(func=cmd_reach)
 
     p = sub.add_parser("simulate", help="asynchronous best-response runs")

@@ -21,7 +21,7 @@ from .errors import (
     PathValidationError,
     PreconditionError,
 )
-from .game import DEFAULT_ENUM_CAP, Game, _check_cap, is_nash, utility
+from .game import Game, _check_cap, _restless, is_nash, utility
 from .structure import game_cohesiveness, game_indecomposability
 
 SCHEDULERS = ("round-robin", "uniform-random", "greedy-potential")
@@ -160,13 +160,18 @@ def _target_set(game: Game, target: Iterable) -> frozenset:
     return target_set
 
 
-def reachable_set(game: Game, x0: int, cap: int = DEFAULT_ENUM_CAP) -> set:
-    """Forward closure of one configuration under best-response moves."""
-    _check_cap(game.n, cap)
+def _forward(game: Game, x0: int) -> _Layers:
+    """Layers of the forward closure of one source configuration."""
+    _check_cap(game.n)
     _check_config(game, x0, "source")
     depth = _Layers()
     _closure(game, (x0,), depth, backward=False)
-    return set(depth)
+    return depth
+
+
+def reachable_set(game: Game, x0: int) -> set:
+    """Forward closure of one configuration under best-response moves."""
+    return set(_forward(game, x0))
 
 
 @dataclass(frozen=True)
@@ -186,20 +191,16 @@ class ReachabilityReport:
     witness: Optional[BRPath]
 
 
-def reachability_from(
-    game: Game, x0: int, target: Iterable, cap: int = DEFAULT_ENUM_CAP
-) -> ReachabilityReport:
+def reachability_from(game: Game, x0: int, target: Iterable) -> ReachabilityReport:
     """Forward closure of one configuration, checked against a target set.
 
     The witness ends at the lowest of the nearest targets and is read back
     from the closure's layers.  When the target cannot be reached, the whole
     forward closure is reported as trapped.
     """
-    _check_cap(game.n, cap)
+    _check_cap(game.n)  # before the target check, as in global_reachability
     target_set = _target_set(game, target)
-    _check_config(game, x0, "source")
-    depth = _Layers()
-    _closure(game, (x0,), depth, backward=False)
+    depth = _forward(game, x0)
     nearest = min(((depth[t], t) for t in target_set if depth[t]), default=None)
     if nearest is None:
         return ReachabilityReport(x0, False, len(depth), frozenset(depth), None)
@@ -207,15 +208,13 @@ def reachability_from(
     return ReachabilityReport(x0, True, len(depth), frozenset(), witness)
 
 
-def global_reachability(
-    game: Game, target: Iterable, cap: int = DEFAULT_ENUM_CAP
-) -> ReachabilityReport:
+def global_reachability(game: Game, target: Iterable) -> ReachabilityReport:
     """Decide whether the target set is reachable from every configuration.
 
     Works backward from the target.  When every configuration is reached,
     the witness is the path from configuration 0 read from the same closure.
     """
-    _check_cap(game.n, cap)
+    _check_cap(game.n)
     target_set = _target_set(game, target)
     n_states = 1 << game.n
     depth = array("I", [0]) * n_states
@@ -228,13 +227,6 @@ def global_reachability(
 
 
 # -- constructive path to a consensus equilibrium -----------------------
-
-
-def _strict_move(game: Game, x: int, side_idx) -> Optional[int]:
-    for k in side_idx:
-        if not game._br_bits(k, x) >> (x >> k & 1) & 1:
-            return k
-    return None
 
 
 def _tie_move(game: Game, x: int, side_idx, prefer_action: int) -> Optional[int]:
@@ -308,7 +300,7 @@ def construct_consensus_path(game: Game, x0: int, mode: str = "strict") -> BRPat
         # preference hint; tie moves do (and only occur in weak mode).
         visited = {x}
         while True:
-            k = _strict_move(game, x, game._coord_idx)
+            k = _restless(game, x, game._coord_idx)
             if k is None:
                 if _consensus_value(game, x) is not None:
                     return
@@ -327,7 +319,7 @@ def construct_consensus_path(game: Game, x0: int, mode: str = "strict") -> BRPat
 
     def anticoordinating_phase() -> None:
         while True:
-            k = _strict_move(game, x, game._anti_idx)
+            k = _restless(game, x, game._anti_idx)
             if k is None:
                 return
             move(k, 1 - (x >> k & 1))

@@ -26,7 +26,8 @@ from .rationals import as_rational
 COORDINATING = 1
 ANTICOORDINATING = -1
 
-DEFAULT_ENUM_CAP = 20
+# Players an exhaustive configuration scan may enumerate (2^ENUM_CAP states).
+ENUM_CAP = 20
 
 _BR_SETS = {1: frozenset((0,)), 2: frozenset((1,)), 3: frozenset((0, 1))}
 
@@ -73,7 +74,10 @@ class Game:
         self.anti_mask = ((1 << n) - 1) ^ self.coord_mask if n else 0
 
         # Per-index tables used by the hot loops.
-        self._sign = [0] * n
+        self._sign = [
+            COORDINATING if self.coord_mask >> k & 1 else ANTICOORDINATING
+            for k in range(n)
+        ]
         self._r = [ZERO] * n
         self._w = [ZERO] * n
         self._rw = [ZERO] * n
@@ -84,7 +88,6 @@ class Game:
         self._cross = [()] * n         # neighbors on the opposite side
         for k, v in enumerate(nodes):
             r = self.thresholds[v]
-            self._sign[k] = COORDINATING if v in coordinating else ANTICOORDINATING
             self._r[k] = r
             nbrs = [(graph.index(u), graph.weight(v, u)) for u in graph.neighbors(v)]
             self._nbrf[k] = tuple(nbrs)
@@ -96,21 +99,13 @@ class Game:
             self._nbrw[k] = tuple((j, int(wt * scale)) for j, wt in nbrs)
             self._thr_int[k] = int(t * scale)
             own = self._sign[k]
-            self._inside_deg[k] = sum(
-                (wt for j, wt in nbrs if self._sign_of_index(j, coordinating) == own),
-                ZERO,
-            )
-            self._cross[k] = tuple(
-                (j, wt) for j, wt in nbrs if self._sign_of_index(j, coordinating) != own
-            )
+            self._inside_deg[k] = sum((wt for j, wt in nbrs if self._sign[j] == own), ZERO)
+            self._cross[k] = tuple((j, wt) for j, wt in nbrs if self._sign[j] != own)
 
         self._coord_idx = tuple(k for k in range(n) if self._sign[k] > 0)
         self._anti_idx = tuple(k for k in range(n) if self._sign[k] < 0)
         self._coord_edges = self._internal_edges(self._coord_idx)
         self._anti_edges = self._internal_edges(self._anti_idx)
-
-    def _sign_of_index(self, k: int, coordinating) -> int:
-        return COORDINATING if self.graph.nodes[k] in coordinating else ANTICOORDINATING
 
     def _internal_edges(self, side_idx) -> tuple:
         side = set(side_idx)
@@ -126,12 +121,6 @@ class Game:
     @property
     def nodes(self):
         return self.graph.nodes
-
-    def role(self, node) -> int:
-        return self._sign[self.graph.index(node)]
-
-    def threshold(self, node) -> Fraction:
-        return self.thresholds[node]
 
     def replace_thresholds(self, thresholds) -> "Game":
         return Game(self.graph, self.coordinating, thresholds)
@@ -264,17 +253,24 @@ def deviations(game: Game, x: int) -> list:
     return out
 
 
-def is_nash(game: Game, x: int) -> bool:
-    for k in range(game.n):
+def _restless(game: Game, x: int, players):
+    """First of the player indices ``players`` whose current action in ``x``
+    is not a best response, or None when all of them are at rest.
+    """
+    for k in players:
         if not game._br_bits(k, x) >> (x >> k & 1) & 1:
-            return False
-    return True
+            return k
+    return None
 
 
-def _check_cap(players: int, cap: int) -> None:
-    if players > cap:
+def is_nash(game: Game, x: int) -> bool:
+    return _restless(game, x, range(game.n)) is None
+
+
+def _check_cap(players: int) -> None:
+    if players > ENUM_CAP:
         raise SizeCapError(
-            f"exhaustive scan over {players} players exceeds the cap of {cap}"
+            f"exhaustive scan over {players} players exceeds the cap of {ENUM_CAP}"
         )
 
 
@@ -290,25 +286,32 @@ def _configurations(base: int, free: int):
             return
 
 
-def enumerate_nash(game: Game, cap: int = DEFAULT_ENUM_CAP) -> list:
+def _equilibria(game: Game, base: int, free: int, players) -> list:
+    """The configurations of one sub-cube (see ``_configurations``) at which
+    none of ``players`` is restless, ascending.  The only exhaustive
+    equilibrium scan; it is capped by the number of ``free`` bits.
+    """
+    _check_cap(free.bit_count())
+    return [x for x in _configurations(base, free) if _restless(game, x, players) is None]
+
+
+def enumerate_nash(game: Game) -> list:
     """All pure equilibria as masks, ascending."""
-    _check_cap(game.n, cap)
-    return [x for x in range(1 << game.n) if is_nash(game, x)]
+    return _equilibria(game, 0, (1 << game.n) - 1, range(game.n))
 
 
-def consensus_equilibria(game: Game, action=None, cap: int = DEFAULT_ENUM_CAP) -> list:
+def consensus_equilibria(game: Game, action=None) -> list:
     """Equilibria whose coordinating players all play ``action``.
 
-    ``action=None`` returns the union for both actions.  Only configurations
-    with the coordinating side at consensus are scanned, so this is cheaper
-    than filtering ``enumerate_nash``.
+    ``action=None`` returns the union for both actions.  Only the
+    anti-coordinating players are enumerated, with the coordinating side
+    at consensus, so the scan is capped by their number alone.
     """
-    _check_cap(game.n, cap)
     if action not in (0, 1, None):
         raise GameInputError(f"action must be 0, 1 or None, got {action!r}")
     actions = (0, 1) if action is None else (action,)
     found = set()
     for a in actions:
         base = game.coord_mask if a == 1 else 0
-        found.update(x for x in _configurations(base, game.anti_mask) if is_nash(game, x))
+        found.update(_equilibria(game, base, game.anti_mask, range(game.n)))
     return sorted(found)

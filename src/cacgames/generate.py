@@ -46,13 +46,15 @@ def random_game(
     if not (0 <= edge_prob <= 1) or not (0 <= coord_frac <= 1):
         raise GameInputError("edge_prob and coord_frac must lie in [0, 1]")
     ids = range(1, nodes + 1)
-    edges = []
-    for u in ids:
-        for v in ids:
-            if u < v and rng.random() < edge_prob:
-                edges.append((u, v, rng.randint(1, max_weight)))
+    # Lazy, so the graph's node cap is checked before any pair is drawn.
+    edges = (
+        (u, v, rng.randint(1, max_weight))
+        for u in ids
+        for v in ids
+        if u < v and rng.random() < edge_prob
+    )
+    graph = WeightedGraph(ids, edges)
     coordinating = {v for v in ids if rng.random() < coord_frac}
     if threshold == "random":
         threshold = {v: random_threshold(rng) for v in ids}
-    graph = WeightedGraph(ids, edges)
     return Game(graph, coordinating, threshold)

@@ -17,6 +17,7 @@ checked by ``mask_of``.  Thresholds are checked by ``game._threshold_map``;
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 from typing import Iterable, Tuple
 
 from .errors import GameInputError
@@ -37,7 +38,9 @@ class WeightedGraph:
     """
 
     def __init__(self, nodes: Iterable, edges: Iterable[tuple] = ()):
-        node_list = list(nodes)
+        node_list = list(islice(nodes, NODE_CAP + 1))
+        if len(node_list) > NODE_CAP:
+            raise GameInputError(f"graph has more nodes than the hard cap of {NODE_CAP}")
         seen = set()
         for k, v in enumerate(node_list):
             try:
@@ -47,10 +50,6 @@ class WeightedGraph:
             if repeated:
                 raise GameInputError(f"nodes[{k}]: duplicate node id {v!r}")
             seen.add(v)
-        if len(node_list) > NODE_CAP:
-            raise GameInputError(
-                f"{len(node_list)} nodes exceeds the hard cap of {NODE_CAP}"
-            )
         try:
             self._nodes: Tuple = tuple(sorted(node_list))
         except TypeError:

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
 from .errors import DegenerateNodeError, GameInputError, SizeCapError
-from .game import DEFAULT_ENUM_CAP, Game, _check_cap, _configurations, _threshold_map
+from .game import Game, _equilibria, _threshold_map
 from .game import utility as _full_utility
 from .graph import WeightedGraph, ZERO
 
@@ -375,18 +375,14 @@ class RestrictedGame:
             return coordination_potential(self.game, merged)
         return anticoordination_potential(self.game, merged)
 
-    def nash(self, cap: int = DEFAULT_ENUM_CAP) -> list:
+    def nash(self) -> list:
         """Exact equilibria of the one-side game, as full masks (frozen bits
-        included), ascending.
+        included), ascending.  Capped by the number of moving players.
         """
         game = self.game
-        positions = [k for k in range(game.n) if self.moving_mask >> k & 1]
-        _check_cap(len(positions), cap)
-        return [
-            x
-            for x in _configurations(self.fixed & ~self.moving_mask, self.moving_mask)
-            if all(game._br_bits(k, x) >> (x >> k & 1) & 1 for k in positions)
-        ]
+        movers = game._coord_idx if self.side == "coordinating" else game._anti_idx
+        mm = self.moving_mask
+        return _equilibria(game, self.fixed & ~mm, mm, movers)
 
 
 def _cleared_coefficient(game: Game, k: int, x: int) -> Fraction:

@@ -1,12 +1,15 @@
 """Command-line behavior: reports, exit codes, determinism."""
 
+import argparse
 import hashlib
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 import cacgames as cg
-from cacgames.cli import main
+from cacgames.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -54,13 +57,53 @@ def test_analyze_reports_reachability_of_consensus_set(capsys):
     assert reach["trap_count"] > 0
 
 
-def test_analyze_size_cap_gives_partial_report_and_exit_2(capsys):
-    code, out, err = run(capsys, "analyze", "fig1", "--cap", "10")
+def test_analyze_size_cap_gives_partial_report_and_exit_2(capsys, monkeypatch):
+    monkeypatch.setattr(cg.game, "ENUM_CAP", 10)
+    code, out, err = run(capsys, "analyze", "fig1")
     assert code == 2
     report = json.loads(out)
     assert report["cohesiveness"]["consensus_one"]["holds"]
     assert report["enumeration"]["status"] == "skipped-size-cap"
     assert "nash_count" not in report
+
+
+@pytest.mark.parametrize("source", [["--all"], ["--from", "0" * 40]])
+def test_reach_hits_the_cap_before_allocating(source, tmp_path, capsys):
+    # 40 edgeless coordinating players: the consensus target needs no
+    # enumeration, so the closure over 2^40 states is the first capped scan.
+    game = cg.Game(cg.WeightedGraph(range(1, 41)), range(1, 41), "1/2")
+    path = tmp_path / "wide.json"
+    path.write_text(cg.serialize_game(game))
+    code, out, err = run(capsys, "reach", str(path), *source, "--target", "consensus")
+    assert code == 2 and out == ""
+    assert "exhaustive scan over 40 players exceeds the cap of 20" in err
+
+
+@pytest.mark.parametrize("argv", [["analyze", "k3"], ["reach", "k3", "--all"]])
+def test_cap_is_not_an_option(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--cap", "40"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --cap 40" in capsys.readouterr().err
+
+
+def test_readme_synopsis_names_every_option():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    # the first fenced block of the "Command line" section
+    block = readme.split("## Command line", 1)[1].split("```", 2)[1]
+    synopsis = {
+        line.split()[1]: set(re.findall(r"--[a-z-]+", line))
+        for line in block.splitlines()
+        if line.startswith("cacgames ")
+    }
+    subparsers = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    defined = {
+        name: {s for a in p._actions for s in a.option_strings if s.startswith("--")} - {"--help"}
+        for name, p in subparsers.choices.items()
+    }
+    assert synopsis == defined
 
 
 def test_reach_fig3_trap_source(capsys):

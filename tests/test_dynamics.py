@@ -103,9 +103,10 @@ def test_fig3_trap_closures_avoid_all_equilibria(games):
         assert not reachable_set(fig3, x0) & nash
 
 
-def test_reachable_set_respects_cap(games):
+def test_reachable_set_respects_cap(games, monkeypatch):
+    monkeypatch.setattr(cg.game, "ENUM_CAP", 5)
     with pytest.raises(SizeCapError):
-        reachable_set(games["fig3"], 0, cap=5)
+        reachable_set(games["fig3"], 0)
 
 
 # -- global reachability ------------------------------------------------------

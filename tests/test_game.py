@@ -221,6 +221,22 @@ def test_enumeration_cap_is_enforced():
         consensus_equilibria(game)
 
 
+def test_consensus_scan_is_capped_by_the_enumerated_players():
+    # 25 coordinating players on a path plus 5 anti-coordinating pendants:
+    # 30 players, but only the 5 pendants are enumerated.
+    edges = [(k, k + 1, 1) for k in range(1, 25)] + [(k, 25 + k, 1) for k in range(1, 6)]
+    game = Game(WeightedGraph(range(1, 31), edges), range(1, 26), HALF)
+    with pytest.raises(SizeCapError):
+        enumerate_nash(game)
+    ones = consensus_equilibria(game, action=1)
+    zeros = consensus_equilibria(game, action=0)
+    # each pendant anti-coordinates with its coordinating neighbor
+    assert ones == [game.coord_mask]
+    assert zeros == [game.anti_mask]
+    assert consensus_equilibria(game) == sorted(ones + zeros)
+    assert all(is_nash(game, x) for x in ones + zeros)
+
+
 def test_configuration_helpers_round_trip(games):
     game = games["fig3"]
     mask = game.parse_bits("1111000010")

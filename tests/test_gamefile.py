@@ -182,3 +182,11 @@ def test_generator_rejects_bad_parameters():
         cg.random_game(0, 3, edge_prob=2)
     with pytest.raises(GameInputError, match="max_weight"):
         cg.random_game(0, 5, edge_prob=1, max_weight=0)
+
+
+def test_generator_checks_the_node_cap_before_drawing():
+    rng = random.Random(3)
+    state = rng.getstate()
+    with pytest.raises(GameInputError, match="hard cap"):
+        cg.random_game(rng, 10**9)
+    assert rng.getstate() == state

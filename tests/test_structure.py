@@ -478,6 +478,16 @@ def test_restricted_nash_everything_when_side_is_edgeless():
     assert view2.nash() == [0, 1, 2, 3]
 
 
+def test_restricted_nash_is_capped_by_the_moving_side(games, monkeypatch):
+    fig3 = games["fig3"]
+    monkeypatch.setattr(cg.game, "ENUM_CAP", len(fig3.anticoordinating))
+    assert len(fig3.coordinating) > cg.game.ENUM_CAP
+    with pytest.raises(SizeCapError, match="exhaustive scan over 9 players"):
+        RestrictedGame(fig3, "coordinating", 0).nash()
+    view = RestrictedGame(fig3, "anticoordinating", fig3.coord_mask)
+    assert len(view.nash()) == 1
+
+
 def test_restricted_nash_subset_of_consensus_under_strict_indecomposability():
     rng = random.Random(47)
     hits = 0
