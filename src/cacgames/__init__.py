@@ -13,8 +13,6 @@ from .errors import (
 )
 from .graph import NODE_CAP, WeightedGraph
 from .game import (
-    ANTICOORDINATING,
-    COORDINATING,
     ENUM_CAP,
     Game,
     best_response,
@@ -60,9 +58,7 @@ from .rationals import as_rational, format_rational
 __version__ = "0.1.0"
 
 __all__ = [
-    "ANTICOORDINATING",
     "BRPath",
-    "COORDINATING",
     "CohesivenessReport",
     "DegenerateNodeError",
     "ENUM_CAP",

@@ -13,7 +13,6 @@ import argparse
 import json
 import random
 import sys
-import warnings
 
 from .dynamics import (
     construct_consensus_path,
@@ -43,12 +42,8 @@ TRAP_LIST_CAP = 256
 def _resolve_game(source: str, r=None) -> Game:
     if r is not None:
         r = as_rational(r, what="--r")
-    if source in FIXTURES:
-        return fixture(source, r=r)
-    game = load_game(source)
-    if r is not None:
-        game = game.replace_thresholds(r)
-    return game
+    game = fixture(source) if source in FIXTURES else load_game(source)
+    return game if r is None else game.replace_thresholds(r)
 
 
 def _threshold_summary(game: Game) -> dict:
@@ -153,27 +148,26 @@ def cmd_analyze(args) -> int:
         "consensus_one": _cohesiveness_json(game_cohesiveness(game, toward=1)),
         "consensus_zero": _cohesiveness_json(game_cohesiveness(game, toward=0)),
     }
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        indec = {
-            mode: game_indecomposability(game, mode=mode)
-            for mode in ("strict", "weak")
-        }
+    indec = {mode: game_indecomposability(game, mode=mode) for mode in ("strict", "weak")}
     report["indecomposability"] = {
         mode: {"holds": rep.holds, "witness": _witness_json(rep.witness)}
         for mode, rep in indec.items()
     }
     code = 0
+    consensus_json = None
     try:
-        nash = enumerate_nash(game)
+        # The consensus scan enumerates only the anti-coordinating side, so
+        # it can answer on games too large for the full Nash scan.
         ones = consensus_equilibria(game, action=1)
         zeros = consensus_equilibria(game, action=0)
-        report["nash_count"] = len(nash)
-        report["nash"] = [game.format_bits(x) for x in nash]
-        report["consensus_equilibria"] = {
+        consensus_json = {
             "ones": [game.format_bits(x) for x in ones],
             "zeros": [game.format_bits(x) for x in zeros],
         }
+        nash = enumerate_nash(game)
+        report["nash_count"] = len(nash)
+        report["nash"] = [game.format_bits(x) for x in nash]
+        report["consensus_equilibria"] = consensus_json
         consensus = sorted(set(ones) | set(zeros))
         if consensus:
             target, target_name = consensus, "consensus"
@@ -193,6 +187,8 @@ def cmd_analyze(args) -> int:
                 "trap_count": len(reach.trap_states),
             }
     except SizeCapError as exc:
+        if consensus_json is not None:
+            report["consensus_equilibria"] = consensus_json
         report["enumeration"] = {"status": "skipped-size-cap", "detail": str(exc)}
         code = 2
     _emit(report)

@@ -9,7 +9,6 @@ keeps only the state-changing moves.
 from __future__ import annotations
 
 import random
-import warnings
 from array import array
 from collections import deque
 from dataclasses import dataclass
@@ -273,9 +272,7 @@ def construct_consensus_path(game: Game, x0: int, mode: str = "strict") -> BRPat
         raise PreconditionError(
             "the coordinating set is not cohesive in either direction"
         )
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        indec = game_indecomposability(game, mode=mode)
+    indec = game_indecomposability(game, mode=mode)
     if not indec.holds:
         w = indec.witness
         raise PreconditionError(

@@ -115,15 +115,12 @@ def fixture_names() -> list:
     return sorted(FIXTURES)
 
 
-def fixture(name: str, r=None) -> Game:
-    """Build a named instance, optionally overriding the uniform threshold."""
+def fixture(name: str) -> Game:
+    """Build a named instance."""
     try:
         build = FIXTURES[name]
     except KeyError:
         raise GameInputError(
             f"unknown fixture {name!r}; available: {', '.join(fixture_names())}"
         ) from None
-    game = build()
-    if r is not None:
-        game = game.replace_thresholds(r)
-    return game
+    return build()

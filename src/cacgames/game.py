@@ -23,9 +23,6 @@ from .errors import GameInputError, SizeCapError
 from .graph import WeightedGraph, ZERO
 from .rationals import as_rational
 
-COORDINATING = 1
-ANTICOORDINATING = -1
-
 # Players an exhaustive configuration scan may enumerate (2^ENUM_CAP states).
 ENUM_CAP = 20
 
@@ -73,48 +70,24 @@ class Game:
         self.n = n
         self.anti_mask = ((1 << n) - 1) ^ self.coord_mask if n else 0
 
-        # Per-index tables used by the hot loops.
-        self._sign = [
-            COORDINATING if self.coord_mask >> k & 1 else ANTICOORDINATING
-            for k in range(n)
-        ]
+        # Per-index tables read by best responses and the per-side scans.
+        self._sign = [1 if self.coord_mask >> k & 1 else -1 for k in range(n)]
         self._r = [ZERO] * n
-        self._w = [ZERO] * n
-        self._rw = [ZERO] * n
         self._nbrf = [()] * n          # (neighbor index, Fraction weight)
         self._nbrw = [()] * n          # (neighbor index, scaled int weight)
         self._thr_int = [0] * n        # r_i * w_i on the same integer scale
-        self._inside_deg = [ZERO] * n  # degree restricted to the own side
-        self._cross = [()] * n         # neighbors on the opposite side
         for k, v in enumerate(nodes):
             r = self.thresholds[v]
             self._r[k] = r
             nbrs = [(graph.index(u), graph.weight(v, u)) for u in graph.neighbors(v)]
             self._nbrf[k] = tuple(nbrs)
-            w = sum((wt for _, wt in nbrs), ZERO)
-            self._w[k] = w
-            t = r * w
-            self._rw[k] = t
+            t = r * sum((wt for _, wt in nbrs), ZERO)
             scale = math.lcm(t.denominator, *(wt.denominator for _, wt in nbrs))
             self._nbrw[k] = tuple((j, int(wt * scale)) for j, wt in nbrs)
             self._thr_int[k] = int(t * scale)
-            own = self._sign[k]
-            self._inside_deg[k] = sum((wt for j, wt in nbrs if self._sign[j] == own), ZERO)
-            self._cross[k] = tuple((j, wt) for j, wt in nbrs if self._sign[j] != own)
 
         self._coord_idx = tuple(k for k in range(n) if self._sign[k] > 0)
         self._anti_idx = tuple(k for k in range(n) if self._sign[k] < 0)
-        self._coord_edges = self._internal_edges(self._coord_idx)
-        self._anti_edges = self._internal_edges(self._anti_idx)
-
-    def _internal_edges(self, side_idx) -> tuple:
-        side = set(side_idx)
-        out = []
-        for u, v, w in self.graph.edges():
-            ku, kv = self.graph.index(u), self.graph.index(v)
-            if ku in side and kv in side:
-                out.append((ku, kv, w))
-        return tuple(out)
 
     # -- basic accessors -------------------------------------------------
 

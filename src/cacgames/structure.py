@@ -16,7 +16,6 @@ exact potential functions that make one-side dynamics monotone.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional
@@ -242,15 +241,11 @@ def indecomposability(
     part and stops at the first one; that partition is reported as the
     witness, the same one an exhaustive ascending scan would find.
     With fewer than two members no partition exists, so the predicate holds
-    trivially (a warning is emitted).  A search that passes
-    ``PARTITION_NODE_CAP`` nodes raises SizeCapError.
+    trivially.  A search that passes ``PARTITION_NODE_CAP`` nodes raises
+    SizeCapError.
     """
     scan = _PartitionScan(graph, members, thresholds, mode)
     if scan.m < 2:
-        warnings.warn(
-            "indecomposability over fewer than 2 members holds trivially",
-            stacklevel=2,
-        )
         return IndecomposabilityReport(True, mode, None, 0)
     first = next(scan.decompositions(), None)
     witness = None if first is None else scan.witness_at(first, None)
@@ -330,16 +325,12 @@ class RestrictedGame:
         May leave (0, 1); it is never clamped.  Undefined (degenerate) when
         the player has no neighbors on its own side.
         """
-        k = self._moving_index(node)
-        game = self.game
-        inside = game._inside_deg[k]
+        inside, pull = _own_side(self.game, self._moving_index(node), self.fixed)
         if inside == 0:
             raise DegenerateNodeError(
                 f"{node!r} has no same-side neighbors; its effective threshold is undefined"
             )
-        outside = game._w[k] - inside
-        out1 = sum((w for j, w in game._cross[k] if self.fixed >> j & 1), ZERO)
-        return game._r[k] * (1 + outside / inside) - out1 / inside
+        return pull / inside
 
     def utility(self, node, x: int) -> Fraction:
         """Utility of a moving player at the merged configuration."""
@@ -358,15 +349,13 @@ class RestrictedGame:
         r = game._r[k]
         r_eff = self.modified_threshold(node)
         merged = self.merged(x)
-        own0 = sum(
-            (
-                w
-                for j, w in game._nbrf[k]
-                if game._sign[j] > 0 and not merged >> j & 1
-            ),
-            ZERO,
-        )
-        out0 = sum((w for j, w in game._cross[k] if not self.fixed >> j & 1), ZERO)
+        own0 = out0 = ZERO
+        for j, w in game._nbrf[k]:
+            if not merged >> j & 1:
+                if game._sign[j] > 0:
+                    own0 += w
+                else:
+                    out0 += w
         return (r - r_eff) * own0 + r * out0
 
     def potential(self, x: int) -> Fraction:
@@ -385,46 +374,60 @@ class RestrictedGame:
         return _equilibria(game, self.fixed & ~mm, mm, movers)
 
 
-def _cleared_coefficient(game: Game, k: int, x: int) -> Fraction:
-    """(effective threshold - 1/2) * own-side degree, in division-free form.
+def _own_side(game: Game, k: int, x: int) -> tuple:
+    """Own-side degree ``W_in`` of player index k and its pull
+    ``r_k * w_k - (opposite-side weight playing 1 in x)``.
 
-    Equals r_i * w_i - (opposite-side weight playing 1) - own_side_degree/2,
-    which stays defined when the own-side degree is zero.
+    The effective threshold is ``pull / W_in``; only the opposite side's
+    bits of ``x`` are read.
     """
-    out1 = sum((w for j, w in game._cross[k] if x >> j & 1), ZERO)
-    return game._rw[k] - out1 - game._inside_deg[k] / 2
+    own = game._sign[k]
+    inside = w = out1 = ZERO
+    for j, wt in game._nbrf[k]:
+        w += wt
+        if game._sign[j] == own:
+            inside += wt
+        elif x >> j & 1:
+            out1 += wt
+    return inside, game._r[k] * w - out1
 
 
-def coordination_potential(game: Game, x: int) -> Fraction:
-    """Exact potential of the coordinating side at frozen opposite actions.
+def _cleared_coefficient(game: Game, k: int, x: int) -> Fraction:
+    """(effective threshold - 1/2) * own-side degree, in division-free form
+    that stays defined when the own-side degree is zero."""
+    inside, pull = _own_side(game, k, x)
+    return pull - inside / 2
 
-    Unilateral coordinating flips change this by exactly their utility
+
+def _side_potential(game: Game, side: tuple, sign: int, x: int) -> Fraction:
+    """Exact potential of the players ``side`` (all of role ``sign``) at
+    frozen opposite actions.
+
+    Unilateral flips on the side change it by exactly their utility
     difference.  Each matched internal edge counts half its weight: a flip
     of one endpoint then shifts the pair term by half the difference of the
     mover's matched and unmatched internal weight, which together with the
     cleared linear coefficient reproduces the utility difference exactly.
+    Anti-coordinating players (``sign`` -1) gain from mismatches, so their
+    side's form is negated.
     """
-    matched = ZERO
-    for ki, kj, w in game._coord_edges:
-        if (x >> ki & 1) == (x >> kj & 1):
-            matched += w
-    total = matched / 2
-    for k in game._coord_idx:
-        if x >> k & 1:
+    total = ZERO
+    for k in side:
+        xk = x >> k & 1
+        for j, w in game._nbrf[k]:
+            if j > k and game._sign[j] == sign and (x >> j & 1) == xk:
+                total += w / 2
+        if xk:
             total -= _cleared_coefficient(game, k, x)
-    return total
+    return sign * total
+
+
+def coordination_potential(game: Game, x: int) -> Fraction:
+    """Exact potential of the coordinating side at frozen opposite actions."""
+    return _side_potential(game, game._coord_idx, 1, x)
 
 
 def anticoordination_potential(game: Game, x: int) -> Fraction:
     """Exact potential of the anti-coordinating side at frozen opposite
-    actions; the mirror of ``coordination_potential``.
-    """
-    matched = ZERO
-    for ki, kj, w in game._anti_edges:
-        if (x >> ki & 1) == (x >> kj & 1):
-            matched += w
-    total = -matched / 2
-    for k in game._anti_idx:
-        if x >> k & 1:
-            total += _cleared_coefficient(game, k, x)
-    return total
+    actions."""
+    return _side_potential(game, game._anti_idx, -1, x)

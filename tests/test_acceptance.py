@@ -7,7 +7,6 @@ instance counts are fixed, so the whole file is deterministic.
 
 import json
 import random
-import warnings
 from fractions import Fraction
 
 import pytest
@@ -232,10 +231,8 @@ def test_criterion_10_strict_indecomposability_gives_global_convergence(random_s
         coh0 = cg.game_cohesiveness(game, toward=0).holds
         if not (coh1 or coh0):
             continue
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            if not cg.game_indecomposability(game, mode="strict").holds:
-                continue
+        if not cg.game_indecomposability(game, mode="strict").holds:
+            continue
         qualifying += 1
 
         # (i) one-side equilibria are consensus for every frozen opposite side

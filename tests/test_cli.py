@@ -67,6 +67,24 @@ def test_analyze_size_cap_gives_partial_report_and_exit_2(capsys, monkeypatch):
     assert "nash_count" not in report
 
 
+def test_analyze_reports_consensus_equilibria_past_the_nash_cap(capsys, monkeypatch):
+    # 22 players is over ENUM_CAP, but only the anti-coordinating side is
+    # enumerated for the consensus equilibria.
+    import io
+
+    _, text, _ = run(
+        capsys, "gen", "--nodes", "22", "--seed", "1", "--edge-prob", "1/3", "--coord-frac", "3/4"
+    )
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, _ = run(capsys, "analyze", "-")
+    assert code == 2
+    report = json.loads(out)
+    assert report["consensus_equilibria"]["ones"] == ["1111001111111111111101"]
+    assert report["consensus_equilibria"]["zeros"] == []
+    assert "nash" not in report
+    assert report["enumeration"]["status"] == "skipped-size-cap"
+
+
 @pytest.mark.parametrize("source", [["--all"], ["--from", "0" * 40]])
 def test_reach_hits_the_cap_before_allocating(source, tmp_path, capsys):
     # 40 edgeless coordinating players: the consensus target needs no

@@ -1,7 +1,6 @@
 """Transitions, reachability, constructive paths, simulation."""
 
 import random
-import warnings
 from collections import deque
 from fractions import Fraction
 
@@ -331,11 +330,9 @@ def test_path_phases_raise_the_matching_potential():
     found = 0
     while found < 6:
         game = cg.random_game(rng, rng.randint(2, 7), max_weight=3)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            ok = (
-                cg.game_cohesiveness(game, 1).holds or cg.game_cohesiveness(game, 0).holds
-            ) and cg.game_indecomposability(game, "strict").holds
+        ok = (
+            cg.game_cohesiveness(game, 1).holds or cg.game_cohesiveness(game, 0).holds
+        ) and cg.game_indecomposability(game, "strict").holds
         if not ok:
             continue
         found += 1
