@@ -12,6 +12,8 @@ import random
 from array import array
 from collections import deque
 from dataclasses import dataclass
+from itertools import compress, count
+from operator import not_
 from typing import Iterable, Optional
 
 from .errors import (
@@ -89,24 +91,18 @@ def br_transitions(game: Game, x: int) -> list:
     return out
 
 
-class _Layers(dict):
-    """Sparse layer storage: a configuration outside the closure reads 0."""
-
-    def __missing__(self, x: int) -> int:
-        return 0
-
-
-def _closure(game: Game, sources, depth, backward: bool) -> None:
+def _closure(game: Game, sources, backward: bool) -> array:
     """Breadth-first closure of ``sources`` under best-response moves.
 
-    Stores each reached configuration's layer in ``depth`` (1 + moves to the
-    nearest source; 0 means outside).  A backward closure follows moves into
-    x: player k can move into x exactly when x's own bit at k is a best
-    response against x.
+    Returns one layer per configuration: 1 + moves to the nearest source,
+    0 outside the closure.  A backward closure follows moves into x: player
+    k can move into x exactly when x's own bit at k is a best response
+    against x.
     """
     along = 0 if backward else 1
     br = game._br_bits
     n = game.n
+    depth = array("I", [0]) * (1 << n)
     frontier = deque(sources)
     for x in frontier:
         depth[x] = 1
@@ -119,6 +115,12 @@ def _closure(game: Game, sources, depth, backward: bool) -> None:
                 if not depth[y]:
                     depth[y] = layer
                     frontier.append(y)
+    return depth
+
+
+def _members(depth, inside: bool = True) -> frozenset:
+    """The configurations inside a closure's layers, or outside them."""
+    return frozenset(compress(count(), depth if inside else map(not_, depth)))
 
 
 def _walk(game: Game, depth, x: int, backward: bool) -> BRPath:
@@ -159,18 +161,11 @@ def _target_set(game: Game, target: Iterable) -> frozenset:
     return target_set
 
 
-def _forward(game: Game, x0: int) -> _Layers:
-    """Layers of the forward closure of one source configuration."""
-    _check_cap(game.n)
-    _check_config(game, x0, "source")
-    depth = _Layers()
-    _closure(game, (x0,), depth, backward=False)
-    return depth
-
-
 def reachable_set(game: Game, x0: int) -> set:
     """Forward closure of one configuration under best-response moves."""
-    return set(_forward(game, x0))
+    _check_cap(game.n)
+    _check_config(game, x0, "source")
+    return set(_members(_closure(game, (x0,), backward=False)))
 
 
 @dataclass(frozen=True)
@@ -199,12 +194,14 @@ def reachability_from(game: Game, x0: int, target: Iterable) -> ReachabilityRepo
     """
     _check_cap(game.n)  # before the target check, as in global_reachability
     target_set = _target_set(game, target)
-    depth = _forward(game, x0)
+    _check_config(game, x0, "source")
+    depth = _closure(game, (x0,), backward=False)
     nearest = min(((depth[t], t) for t in target_set if depth[t]), default=None)
     if nearest is None:
-        return ReachabilityReport(x0, False, len(depth), frozenset(depth), None)
+        members = _members(depth)
+        return ReachabilityReport(x0, False, len(members), members, None)
     witness = _walk(game, depth, nearest[1], backward=False)
-    return ReachabilityReport(x0, True, len(depth), frozenset(), witness)
+    return ReachabilityReport(x0, True, len(depth) - depth.count(0), frozenset(), witness)
 
 
 def global_reachability(game: Game, target: Iterable) -> ReachabilityReport:
@@ -215,14 +212,12 @@ def global_reachability(game: Game, target: Iterable) -> ReachabilityReport:
     """
     _check_cap(game.n)
     target_set = _target_set(game, target)
-    n_states = 1 << game.n
-    depth = array("I", [0]) * n_states
-    _closure(game, target_set, depth, backward=True)
-    count = n_states - depth.count(0)
-    reached = count == n_states
-    traps = frozenset(x for x in range(n_states) if not depth[x])
-    witness = _walk(game, depth, 0, backward=True) if reached else None
-    return ReachabilityReport("all", reached, count, traps, witness)
+    depth = _closure(game, target_set, backward=True)
+    if depth.count(0):
+        traps = _members(depth, inside=False)
+        return ReachabilityReport("all", False, len(depth) - len(traps), traps, None)
+    witness = _walk(game, depth, 0, backward=True)
+    return ReachabilityReport("all", True, len(depth), frozenset(), witness)
 
 
 # -- constructive path to a consensus equilibrium -----------------------
@@ -377,9 +372,9 @@ def simulate(
     x = x0
     configs = [x0]
     ticks = 0
-    deterministic = True
-    seen = set()
-    status = None
+    # (state, player) pairs while the run is deterministic: round-robin's and
+    # greedy's next pair is a function of the last, so a repeat is a cycle.
+    seen = None if scheduler == "uniform-random" else set()
     while True:
         if is_nash(game, x):
             status = "absorbed-at-NE"
@@ -388,28 +383,21 @@ def simulate(
             status = "step-cap"
             break
         if scheduler == "round-robin":
-            key = (x, ticks % game.n)
-            if deterministic:
-                if key in seen:
-                    status = "cycle-detected"
-                    break
-                seen.add(key)
             k = ticks % game.n
         elif scheduler == "uniform-random":
             k = rng.randrange(game.n)
         else:  # greedy-potential: biggest own improvement first
-            if deterministic:
-                if x in seen:
-                    status = "cycle-detected"
-                    break
-                seen.add(x)
             k = _greedy_pick(game, x)
+        if seen is not None:
+            if (x, k) in seen:
+                status = "cycle-detected"
+                break
+            seen.add((x, k))
         ticks += 1
         bits = game._br_bits(k, x)
         cur = x >> k & 1
         if bits == 3:
-            deterministic = False
-            seen.clear()
+            seen = None
             if rng.getrandbits(1):
                 x ^= 1 << k
                 configs.append(x)

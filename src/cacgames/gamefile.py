@@ -21,6 +21,8 @@ parse followed by serialize reproduces a canonical file byte for byte.
 from __future__ import annotations
 
 import json
+import sys
+from pathlib import Path
 from typing import Optional
 
 from .errors import GameInputError
@@ -37,6 +39,10 @@ def parse_game(text: str) -> Game:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise GameInputError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    except RecursionError:
+        raise GameInputError("invalid JSON: nested too deeply") from None
+    except ValueError:  # an integer over Python's digit limit
+        raise GameInputError("invalid JSON: a number has too many digits") from None
     if not isinstance(data, dict):
         raise GameInputError("top level must be an object with 'nodes' and 'edges'")
     for key in ("nodes", "edges"):
@@ -77,15 +83,13 @@ def _fields(where: str, entry, names) -> tuple:
 
 def load_game(path: str) -> Game:
     """Parse a game file from disk ('-' reads standard input)."""
-    if path == "-":
-        import sys
-
-        return parse_game(sys.stdin.read())
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
+        text = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
+        text.encode("utf-8")  # standard input may decode bad bytes to lone surrogates
     except OSError as exc:
         raise GameInputError(f"cannot read {path!r}: {exc.strerror}") from None
+    except UnicodeError:
+        raise GameInputError(f"cannot read {path!r}: not UTF-8 text") from None
     return parse_game(text)
 
 
@@ -118,8 +122,13 @@ def to_dot(game: Game, config: Optional[int] = None) -> str:
             attrs.append(
                 "style=filled, fillcolor=lightgray" if config >> k & 1 else "style=solid"
             )
-        lines.append(f'  "{v}" [{", ".join(attrs)}];')
+        lines.append(f'  {_dot_id(v)} [{", ".join(attrs)}];')
     for u, v, w in game.graph.edges():
-        lines.append(f'  "{u}" -- "{v}" [label="{format_rational(w)}"];')
+        lines.append(f'  {_dot_id(u)} -- {_dot_id(v)} [label="{format_rational(w)}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def _dot_id(v) -> str:
+    """A node id as a quoted DOT string."""
+    return '"' + str(v).replace("\\", "\\\\").replace('"', '\\"') + '"'

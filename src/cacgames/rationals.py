@@ -38,6 +38,8 @@ def as_rational(value, what: str = "value") -> Fraction:
             raise GameInputError(
                 f"{what}: malformed rational {value!r} (zero denominator)"
             ) from None
+        except ValueError:  # a part over Python's digit limit
+            raise GameInputError(f"{what}: rational has too many digits") from None
     raise GameInputError(f"{what}: cannot interpret {type(value).__name__} as a rational")
 
 

@@ -319,6 +319,15 @@ PINNED_FIXTURE_RUNS = {
     "analyze pennies --r 1/2": (0, "f0c173f29e2fcd2111838174e189eb559fb3f41a56c4b1b35fd64180f8245174"),
     "reach pennies --all --target nash": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "reach pennies --all --target consensus": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    # forward closures: a trapped source, then 16 and 32 wildcard sources
+    "reach fig3 --from 1111000000 --target nash": (0, "0d4a285ea1bcdce49499147e3b71d2c0a51ff21ac5f7e2c1ead2abf9ccf3484d"),
+    "reach fig5 --from 1111110**** --target consensus": (0, "9fa7f108a02bf366d4a47feae03f569b23745df24da5fbe8ff7ca0e8144375d1"),
+    "reach fig2a --from 0***** --target nash": (0, "46edbff6062473ebe06585d31e101c1570f41628cb81b766913e1690b9964580"),
+    # simulations: proven cycles, random ties under round-robin, uniform-random
+    "simulate pennies --scheduler round-robin --runs 2": (0, "63f85f270bbd6489ebe4256034a42734cd2d2bcb2fd802ce706f57dd2eafd98a"),
+    "simulate fig3 --scheduler greedy-potential --runs 4": (0, "6a69e0d184bd084b54187e1af48f94a8b7931d61b1693a95990003c04e2afcc3"),
+    "simulate fig2a --scheduler round-robin --runs 4": (0, "94dff98c9f622dcfd412611e61890dcb27e24d2d05829db3529854ae5e3142b4"),
+    "simulate fig1 --runs 4": (0, "58d0a9136ebf4650ec965f3898de3b1215df3f4cc9f7e026358c5d8eff6fc0fb"),
 }
 
 # ``analyze -`` on the output of ``gen`` with these arguments.

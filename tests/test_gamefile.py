@@ -93,6 +93,11 @@ def _malformed_files():
         (_file([_node(1), _node(1)], []), "duplicate node id"),
         (_file(base, [{"u": [1], "v": 2, "weight": "1"}]), "edges[0]: unknown node [1]"),
         (_file(base, [{"u": 1, "v": {"a": 1}, "weight": "1"}]), "edges[0]: unknown node"),
+        # Python limits recursion depth and integer digits; each text is
+        # invalid JSON even where those limits are lifted.
+        ("[" * 200_000, "invalid JSON"),
+        ("9" * 5000 + "]", "invalid JSON"),
+        (_file([_node(1, threshold="1/" + "0" * 5000)], []), "threshold of 1: "),
     ]
 
 
@@ -113,6 +118,36 @@ def test_cli_rejects_every_malformed_file_with_exit_1(tmp_path, capsys):
         assert main(["analyze", str(path)]) == 1, text
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error:"), text
+
+
+def test_cli_rejects_input_that_is_not_utf8(tmp_path, capsys, monkeypatch):
+    import io
+
+    from cacgames.cli import main
+
+    data = b'{"nodes": [{"id": "a\xff", "role": "coordinating", "threshold": "1/2"}], "edges": []}'
+    path = tmp_path / "latin.json"
+    path.write_bytes(data)
+    # strict decoding raises; UTF-8 mode decodes to lone surrogates instead
+    stdins = [io.TextIOWrapper(io.BytesIO(data), "utf-8", errors) for errors in ("strict", "surrogateescape")]
+    for argv, stdin in [(str(path), None), *(("-", s) for s in stdins)]:
+        if stdin is not None:
+            monkeypatch.setattr("sys.stdin", stdin)
+        assert main(["analyze", argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "not UTF-8 text" in captured.err
+
+
+def test_rationals_over_the_digit_limit_are_input_errors(capsys):
+    from cacgames.cli import main
+
+    huge = "1/" + "0" * 5000  # a zero denominator where digits are unlimited
+    with pytest.raises(GameInputError, match="^threshold: "):
+        cg.as_rational(huge, what="threshold")
+    for argv in (["analyze", "k3", "--r", huge], ["gen", "--nodes", "3", "--edge-prob", huge]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: "), argv
 
 
 def test_parse_reports_json_syntax_position():
@@ -145,6 +180,19 @@ def test_dot_export_counts(games):
     pennies_dot = to_dot(games["pennies"])
     assert pennies_dot.count(" -- ") == 1
     assert 'label="1"' in pennies_dot
+
+
+def test_dot_export_quotes_every_node_id():
+    import re
+
+    ids = ['a" -- "zz', "b\\", "c"]
+    game = cg.Game(cg.WeightedGraph(ids, [(ids[0], ids[1], 1), (ids[1], ids[2], 1)]), ids[:1], "1/2")
+    quoted = r'"((?:\\.|[^"\\])*)"'
+    statements = [
+        [re.sub(r"\\(.)", r"\1", q) for q in re.findall(quoted, line.split("[")[0])]
+        for line in to_dot(game).splitlines()[1:-1]
+    ]
+    assert statements == [[v] for v in ids] + [ids[:2], ids[1:]]
 
 
 def test_dot_overlay_marks_players_at_one(games):
