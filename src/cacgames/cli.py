@@ -58,11 +58,7 @@ def _threshold_summary(game: Game) -> dict:
 def _witness_json(witness) -> dict:
     if witness is None:
         return None
-    out = {"part0": sorted(witness.part0), "part1": sorted(witness.part1)}
-    if witness.certifying_player is not None:
-        out["certifying_player"] = witness.certifying_player
-        out["condition"] = witness.condition
-    return out
+    return {"part0": sorted(witness.part0), "part1": sorted(witness.part1)}
 
 
 def _cohesiveness_json(report) -> dict:

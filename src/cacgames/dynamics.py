@@ -22,7 +22,7 @@ from .errors import (
     PathValidationError,
     PreconditionError,
 )
-from .game import Game, _check_cap, _restless, is_nash, utility
+from .game import Game, _check_cap, _restless, is_nash
 from .structure import game_cohesiveness, game_indecomposability
 
 SCHEDULERS = ("round-robin", "uniform-random", "greedy-potential")
@@ -257,8 +257,10 @@ def construct_consensus_path(game: Game, x0: int, mode: str = "strict") -> BRPat
 
     Improving moves are preferred; exact-tie moves are used only when no
     player on the active side can strictly improve (they can be needed when
-    ``mode="weak"``).  Failure to make progress raises
+    ``mode="weak"``).  In strict mode, failure to make progress raises
     GuaranteeViolationError, since the preconditions provably rule it out.
+    Weak indecomposability gives no such guarantee: there a stalled or
+    revisiting construction raises PreconditionError.
     """
     _check_config(game, x0, "start")
     coh_one = game_cohesiveness(game, toward=1).holds
@@ -280,6 +282,13 @@ def construct_consensus_path(game: Game, x0: int, mode: str = "strict") -> BRPat
     configs = [x0]
     x = x0
 
+    def violation(message: str) -> Exception:
+        if mode == "strict":
+            return GuaranteeViolationError(message)
+        return PreconditionError(
+            f"weak indecomposability does not guarantee a path from this start: {message}"
+        )
+
     def move(k: int, action: int) -> None:
         nonlocal x
         x = (x & ~(1 << k)) | (action << k)
@@ -298,15 +307,10 @@ def construct_consensus_path(game: Game, x0: int, mode: str = "strict") -> BRPat
                     return
                 k = _tie_move(game, x, game._coord_idx, prefer)
             if k is None:
-                raise GuaranteeViolationError(
-                    "no coordinating player can move toward consensus; "
-                    "this contradicts indecomposability"
-                )
+                raise violation("no coordinating player can move toward consensus")
             move(k, 1 - (x >> k & 1))
             if x in visited:
-                raise GuaranteeViolationError(
-                    "the coordinating phase revisited a configuration"
-                )
+                raise violation("the coordinating phase revisited a configuration")
             visited.add(x)
 
     def anticoordinating_phase() -> None:
@@ -323,9 +327,7 @@ def construct_consensus_path(game: Game, x0: int, mode: str = "strict") -> BRPat
         coordinating_phase(1 - reached if reached is not None else backed_action)
         anticoordinating_phase()
         if not is_nash(game, x):
-            raise GuaranteeViolationError(
-                "the two-phase construction did not terminate at an equilibrium"
-            )
+            raise violation("the two-phase construction did not terminate at an equilibrium")
     return BRPath(tuple(steps), tuple(configs))
 
 
@@ -408,13 +410,13 @@ def simulate(
 
 
 def _greedy_pick(game: Game, x: int) -> int:
-    best_k = None
-    best_gain = None
+    """The restless player with the largest exact gain from switching, the
+    lowest index on ties.  Switching to 1 gains ``sign * (s - r * w)`` for
+    1-neighbor weight s, on the game's one integer scale."""
+    best_k, best_gain = None, 0
     for k in range(game.n):
-        if game._br_bits(k, x) >> (x >> k & 1) & 1:
-            continue
-        node = game.nodes[k]
-        gain = utility(game, node, x ^ (1 << k)) - utility(game, node, x)
-        if best_gain is None or gain > best_gain:
+        margin = sum(w for j, w in game._nbrw[k] if x >> j & 1) - game._thr_int[k]
+        gain = game._sign[k] * (-margin if x >> k & 1 else margin)
+        if gain > best_gain:
             best_k, best_gain = k, gain
     return best_k

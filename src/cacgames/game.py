@@ -71,20 +71,21 @@ class Game:
         self.anti_mask = ((1 << n) - 1) ^ self.coord_mask if n else 0
 
         # Per-index tables read by best responses and the per-side scans.
+        # One integer scale for the whole game clears every edge weight and
+        # r_i * w_i: both ends of an edge carry one integer, and margins compare.
         self._sign = [1 if self.coord_mask >> k & 1 else -1 for k in range(n)]
-        self._r = [ZERO] * n
-        self._nbrf = [()] * n          # (neighbor index, Fraction weight)
-        self._nbrw = [()] * n          # (neighbor index, scaled int weight)
-        self._thr_int = [0] * n        # r_i * w_i on the same integer scale
-        for k, v in enumerate(nodes):
-            r = self.thresholds[v]
-            self._r[k] = r
-            nbrs = [(graph.index(u), graph.weight(v, u)) for u in graph.neighbors(v)]
-            self._nbrf[k] = tuple(nbrs)
-            t = r * sum((wt for _, wt in nbrs), ZERO)
-            scale = math.lcm(t.denominator, *(wt.denominator for _, wt in nbrs))
-            self._nbrw[k] = tuple((j, int(wt * scale)) for j, wt in nbrs)
-            self._thr_int[k] = int(t * scale)
+        self._r = [self.thresholds[v] for v in nodes]
+        self._nbrf = [          # (neighbor index, Fraction weight)
+            tuple((graph.index(u), graph.weight(v, u)) for u in graph.neighbors(v))
+            for v in nodes
+        ]
+        totals = [r * sum((w for _, w in row), ZERO) for r, row in zip(self._r, self._nbrf)]
+        scale = math.lcm(
+            *(t.denominator for t in totals),
+            *(w.denominator for row in self._nbrf for _, w in row),
+        )
+        self._nbrw = [tuple((j, int(w * scale)) for j, w in row) for row in self._nbrf]
+        self._thr_int = [int(t * scale) for t in totals]   # r_i * w_i, scaled
 
         self._coord_idx = tuple(k for k in range(n) if self._sign[k] > 0)
         self._anti_idx = tuple(k for k in range(n) if self._sign[k] < 0)

@@ -21,6 +21,7 @@ parse followed by serialize reproduces a canonical file byte for byte.
 from __future__ import annotations
 
 import json
+import re
 import sys
 from pathlib import Path
 from typing import Optional
@@ -56,6 +57,8 @@ def parse_game(text: str) -> Game:
         node_id, role, threshold = _fields(f"nodes[{k}]", entry, ("id", "role", "threshold"))
         if not isinstance(node_id, (int, str)) or isinstance(node_id, bool):
             raise GameInputError(f"nodes[{k}]: id must be an int or string")
+        if isinstance(node_id, str) and re.search("[\ud800-\udfff]", node_id):
+            raise GameInputError(f"nodes[{k}]: id holds a lone surrogate, which no encoding can write")
         if role not in ROLES:
             raise GameInputError(f"nodes[{k}]: role must be one of {ROLES}, got {role!r}")
         ids.append(node_id)

@@ -28,15 +28,16 @@ def as_rational(value, what: str = "value") -> Fraction:
         )
     if isinstance(value, str):
         text = value.strip()
+        shown = repr(value) if len(value) <= 40 else repr(value[:40]) + "..."
         if not _RATIONAL_RE.fullmatch(text):
             raise GameInputError(
-                f"{what}: malformed rational {value!r} (expected 'p' or 'p/q')"
+                f"{what}: malformed rational {shown} (expected 'p' or 'p/q')"
             )
         try:
             return Fraction(text)
         except ZeroDivisionError:
             raise GameInputError(
-                f"{what}: malformed rational {value!r} (zero denominator)"
+                f"{what}: malformed rational {shown} (zero denominator)"
             ) from None
         except ValueError:  # a part over Python's digit limit
             raise GameInputError(f"{what}: rational has too many digits") from None

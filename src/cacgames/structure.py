@@ -115,31 +115,23 @@ class _PartitionScan:
         m = len(self.members)
         pos = {v: k for k, v in enumerate(self.members)}
         member_set = set(self.members)
-        # Per member, on its own integer scale: internal neighbor weights and
-        # the largest cut allowed in part1 and in part0.  Weak mode lowers
-        # each budget by one: on integers, ``cut >= b`` is ``cut > b - 1``.
+        # Per member, on one integer scale for the whole member set: internal
+        # weights and the largest cut allowed in part1 and in part0.  Weak mode
+        # lowers each budget by one: on integers, ``cut >= b`` is ``cut > b - 1``.
         slack = 0 if mode == "strict" else 1
-        self.internal = []
-        self.budget = []
-        for v in self.members:
-            w = graph.degree(v)
-            inside_nbrs = [
-                (pos[u], graph.weight(v, u)) for u in graph.neighbors(v) if u in member_set
-            ]
-            t1 = th[v] * w
-            t0 = (1 - th[v]) * w
-            scale = math.lcm(
-                t1.denominator, t0.denominator, *(wt.denominator for _, wt in inside_nbrs)
-            )
-            self.internal.append(tuple((j, int(wt * scale)) for j, wt in inside_nbrs))
-            self.budget.append((int(t0 * scale) - slack, int(t1 * scale) - slack))
-        # Edges to higher-indexed members, with the weight on both endpoints'
-        # scales: the search assigns members from the top bit down.
-        rows = [dict(row) for row in self.internal]
-        self.above = [
-            tuple((j, wk, rows[j][k]) for j, wk in self.internal[k] if j > k)
-            for k in range(m)
+        inside = [
+            [(pos[u], graph.weight(v, u)) for u in graph.neighbors(v) if u in member_set]
+            for v in self.members
         ]
+        limits = [(th[v] * graph.degree(v), (1 - th[v]) * graph.degree(v)) for v in self.members]
+        scale = math.lcm(
+            *(t.denominator for pair in limits for t in pair),
+            *(w.denominator for row in inside for _, w in row),
+        )
+        self.internal = [tuple((j, int(w * scale)) for j, w in row) for row in inside]
+        self.budget = [(int(t0 * scale) - slack, int(t1 * scale) - slack) for t1, t0 in limits]
+        # Edges to higher-indexed members: the search assigns from the top bit.
+        self.above = [tuple((j, w) for j, w in self.internal[k] if j > k) for k in range(m)]
         self.m = m
         self.nodes_visited = 0
 
@@ -180,17 +172,17 @@ class _PartitionScan:
                         f"partition search over {self.m} members passed "
                         f"{PARTITION_NODE_CAP} nodes without a verdict"
                     )
-                crossed = [(j, wk, wj) for j, wk, wj in self.above[k] if (mask0 >> j & 1) != bit]
-                for j, wk, wj in crossed:
-                    cut[k] += wk
-                    cut[j] += wj
+                crossed = [(j, w) for j, w in self.above[k] if (mask0 >> j & 1) != bit]
+                for j, w in crossed:
+                    cut[k] += w
+                    cut[j] += w
                 if cut[k] <= self.budget[k][bit] and all(
-                    cut[j] <= self.budget[j][1 - bit] for j, _, _ in crossed
+                    cut[j] <= self.budget[j][1 - bit] for j, _ in crossed
                 ):
                     yield from search(k - 1, mask0 | bit << k)
                 cut[k] = 0
-                for j, _, wj in crossed:
-                    cut[j] -= wj
+                for j, w in crossed:
+                    cut[j] -= w
 
         return search(self.m - 1, 0)
 

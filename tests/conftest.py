@@ -29,6 +29,20 @@ def _knife_edge_game(rng, n):
 
 
 @pytest.fixture(scope="session")
+def weak_only_game():
+    """Cohesive and weakly, not strictly, indecomposable.  The weak-mode
+    path construction from 110000 revisits a configuration, although a
+    consensus equilibrium is reachable from there."""
+    edges = [(1, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 4), (3, 6), (4, 6), (5, 6)]
+    thresholds = {
+        1: Fraction(2, 3), 2: Fraction(1, 5), 3: Fraction(1, 6),
+        4: Fraction(2, 3), 5: Fraction(1, 2), 6: Fraction(3, 4),
+    }
+    graph = WeightedGraph(range(1, 7), [(u, v, 1) for u, v in edges])
+    return Game(graph, [1, 2, 4, 5, 6], thresholds)
+
+
+@pytest.fixture(scope="session")
 def knife_edge_game():
     """Factory ``(rng, n) -> Game`` for games biased toward exact ties."""
     return _knife_edge_game

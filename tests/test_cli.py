@@ -207,6 +207,16 @@ def test_path_exit_codes(capsys):
     cg.validate_br_path(k3, path)
 
 
+def test_path_weak_mode_without_a_guarantee_exits_3(weak_only_game, tmp_path, capsys):
+    path = tmp_path / "weak.json"
+    path.write_text(cg.serialize_game(weak_only_game))
+    code, out, err = run(capsys, "path", str(path), "--from", "110000", "--mode", "weak")
+    assert code == 3 and out == ""
+    assert err.startswith("error: weak indecomposability does not guarantee a path")
+    report = run_json(capsys, "reach", str(path), "--from", "110000", "--target", "consensus")
+    assert report["reached"] is True
+
+
 def test_gen_is_deterministic_and_parses(capsys):
     code1, out1, _ = run(capsys, "gen", "--nodes", "8", "--seed", "7")
     code2, out2, _ = run(capsys, "gen", "--nodes", "8", "--seed", "7")
@@ -328,6 +338,13 @@ PINNED_FIXTURE_RUNS = {
     "simulate fig3 --scheduler greedy-potential --runs 4": (0, "6a69e0d184bd084b54187e1af48f94a8b7931d61b1693a95990003c04e2afcc3"),
     "simulate fig2a --scheduler round-robin --runs 4": (0, "94dff98c9f622dcfd412611e61890dcb27e24d2d05829db3529854ae5e3142b4"),
     "simulate fig1 --runs 4": (0, "58d0a9136ebf4650ec965f3898de3b1215df3f4cc9f7e026358c5d8eff6fc0fb"),
+    "simulate fig1 --scheduler greedy-potential --runs 4": (0, "d129ebc4300671952825fa5f9652c2e18992a2f7acb7d1fe495d59bca1d32e80"),
+    "simulate fig5 --scheduler greedy-potential --runs 4": (0, "f9f88fd75a47e7fc0d57f7c56ffb31224ecb42b42aec1c5d31d3cf04d6eaadbd"),
+    # constructed paths: weak mode taking a tie move, weak mode on k3, and a
+    # strict-mode precondition failure
+    "path fig5 --from 10011010100 --mode weak": (0, "3d8bb2a6d6e625cd2b878f4e2c2671be45d3a6707a478907dce5a5d020c72cdf"),
+    "path k3 --from 000 --mode weak": (0, "05087ef67a177f4fe130bf786e4f1235eae3bc533b0f899609fd4b9ceb5714f4"),
+    "path fig5 --from 00000000000 --mode strict": (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
 }
 
 # ``analyze -`` on the output of ``gen`` with these arguments.

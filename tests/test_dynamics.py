@@ -25,6 +25,7 @@ from cacgames import (
     reachability_from,
     reachable_set,
     simulate,
+    utility,
     validate_br_path,
 )
 
@@ -319,6 +320,17 @@ def test_path_k3_mode_dependence(games):
     assert is_nash(k3, path.end)
 
 
+def test_weak_path_without_a_guarantee_is_a_precondition_failure(weak_only_game):
+    game = weak_only_game
+    assert cg.game_indecomposability(game, "weak").holds
+    assert not cg.game_indecomposability(game, "strict").holds
+    x0 = game.parse_bits("110000")
+    with pytest.raises(PreconditionError, match="weak indecomposability does not guarantee"):
+        construct_consensus_path(game, x0, mode="weak")
+    # a path exists; the construction just does not find it
+    assert reachability_from(game, x0, cg.consensus_equilibria(game)).reached
+
+
 def test_path_requires_cohesiveness(games):
     b = games["fig2b"]  # player 6 breaks cohesiveness both ways
     with pytest.raises(PreconditionError, match="cohesive"):
@@ -418,6 +430,49 @@ def test_simulation_steps_are_valid_transitions(games):
         k = flips.bit_length() - 1
         node = fig5.nodes[k]
         assert (after >> k & 1) in cg.best_response(fig5, node, before)
+
+
+def _greedy_by_utility(game, x):
+    """The player whose switch raises its own utility most, the first on
+    ties; None when no switch raises any utility."""
+    best_k, best_gain = None, 0
+    for k, v in enumerate(game.nodes):
+        gain = utility(game, v, x ^ (1 << k)) - utility(game, v, x)
+        if gain > best_gain:
+            best_k, best_gain = k, gain
+    return best_k
+
+
+def _prime_weight_game(rng, n):
+    """Random game whose edge weights carry many different prime
+    denominators, so the game's common integer scale is far from every
+    player's own."""
+    primes = [p for p in range(2, 400) if all(p % d for d in range(2, p))]
+    ids = range(1, n + 1)
+    pairs = [(u, v) for u in ids for v in ids if u < v and rng.random() < 0.15]
+    edges = [
+        (u, v, Fraction(rng.randint(1, 5), primes[i % len(primes)]))
+        for i, (u, v) in enumerate(pairs)
+    ]
+    thresholds = {v: cg.generate.random_threshold(rng) for v in ids}
+    return Game(WeightedGraph(ids, edges), [v for v in ids if rng.random() < 0.7], thresholds)
+
+
+def test_greedy_pick_is_the_argmax_of_utility_gains(knife_edge_game):
+    from cacgames.dynamics import _greedy_pick
+
+    rng = random.Random(61)
+    games = [knife_edge_game(rng, rng.randint(2, 10)) for _ in range(40)]
+    games += [cg.random_game(rng, rng.randint(48, 64), max_weight=3) for _ in range(3)]
+    games += [_prime_weight_game(rng, rng.randint(48, 64)) for _ in range(3)]
+    checked = 0
+    for game in games:
+        for _ in range(30):
+            x = rng.getrandbits(game.n)
+            if not is_nash(game, x):
+                checked += 1
+                assert _greedy_pick(game, x) == _greedy_by_utility(game, x), x
+    assert checked > 500
 
 
 def test_simulation_validates_inputs(games):

@@ -93,6 +93,8 @@ def _malformed_files():
         (_file([_node(1), _node(1)], []), "duplicate node id"),
         (_file(base, [{"u": [1], "v": 2, "weight": "1"}]), "edges[0]: unknown node [1]"),
         (_file(base, [{"u": 1, "v": {"a": 1}, "weight": "1"}]), "edges[0]: unknown node"),
+        # json.dumps writes the lone surrogate as the escape "\ud800"
+        (_file([_node(1), _node("a\ud800")], []), "nodes[1]: id holds a lone surrogate"),
         # Python limits recursion depth and integer digits; each text is
         # invalid JSON even where those limits are lifted.
         ("[" * 200_000, "invalid JSON"),
@@ -144,10 +146,16 @@ def test_rationals_over_the_digit_limit_are_input_errors(capsys):
     huge = "1/" + "0" * 5000  # a zero denominator where digits are unlimited
     with pytest.raises(GameInputError, match="^threshold: "):
         cg.as_rational(huge, what="threshold")
-    for argv in (["analyze", "k3", "--r", huge], ["gen", "--nodes", "3", "--edge-prob", huge]):
+    long_text = "x" * 20_000  # malformed, and echoed only in part
+    for argv in (
+        ["analyze", "k3", "--r", huge],
+        ["gen", "--nodes", "3", "--edge-prob", huge],
+        ["analyze", "k3", "--r", long_text],
+    ):
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: "), argv
+        assert len(captured.err) < 200, argv
 
 
 def test_parse_reports_json_syntax_position():

@@ -419,9 +419,12 @@ def _assert_potential_identity(game):
             du = utility(game, v, flipped) - utility(game, v, x)
             if v in game.coordinating:
                 dphi = coordination_potential(game, flipped) - coordination_potential(game, x)
+                view = RestrictedGame(game, "coordinating", x)
             else:
                 dphi = anticoordination_potential(game, flipped) - anticoordination_potential(game, x)
+                view = RestrictedGame(game, "anticoordinating", x)
             assert du == dphi, (v, x)
+            assert view.potential(flipped) - view.potential(x) == du, (v, x)
 
 
 def test_potential_identity_on_small_fixtures(games):
