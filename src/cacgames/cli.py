@@ -31,7 +31,7 @@ from .fixtures import FIXTURES, fixture, fixture_names
 from .game import Game, _configurations, consensus_equilibria, enumerate_nash
 from .gamefile import load_game, serialize_game, to_dot
 from .generate import random_game
-from .rationals import as_rational, format_rational
+from .rationals import as_rational, format_rational, shown
 from .structure import game_cohesiveness, game_indecomposability
 
 SCHEMA_PREFIX = "cacgames"
@@ -109,7 +109,7 @@ def _parse_pattern(game: Game, pattern: str) -> list:
     """Expand a 0/1/* configuration pattern into masks, ascending."""
     if len(pattern) != game.n or any(c not in "01*" for c in pattern):
         raise GameInputError(
-            f"pattern must be {game.n} characters of 0, 1 or *, got {pattern!r}"
+            f"pattern must be {game.n} characters of 0, 1 or *, got {shown(pattern)}"
         )
     if pattern.count("*") > 16:
         raise GameInputError("too many wildcards (limit 16)")
@@ -209,6 +209,8 @@ def cmd_reach(args) -> int:
 
 def cmd_simulate(args) -> int:
     game = _resolve_game(args.game, r=args.r)
+    if args.runs < 0:
+        raise GameInputError("--runs must be non-negative")
     if args.from_ is not None:
         starts = _parse_pattern(game, args.from_)
     else:

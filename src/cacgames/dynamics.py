@@ -23,6 +23,7 @@ from .errors import (
     PreconditionError,
 )
 from .game import Game, _check_cap, _restless, is_nash
+from .rationals import shown
 from .structure import game_cohesiveness, game_indecomposability
 
 SCHEDULERS = ("round-robin", "uniform-random", "greedy-potential")
@@ -65,14 +66,14 @@ def validate_br_path(game: Game, path: BRPath) -> None:
         after = path.configs[k + 1]
         bit = 1 << game.graph.index(node)
         if before & ~bit != after & ~bit:
-            raise PathValidationError(f"step {k}: players other than {node!r} changed")
+            raise PathValidationError(f"step {k}: players other than {shown(node)} changed")
         if (1 if after & bit else 0) != action:
             raise PathValidationError(
-                f"step {k}: configuration does not apply action {action} of {node!r}"
+                f"step {k}: configuration does not apply action {action} of {shown(node)}"
             )
         if not game._br_bits(game.graph.index(node), before) >> action & 1:
             raise PathValidationError(
-                f"step {k}: action {action} is not a best response of {node!r}"
+                f"step {k}: action {action} is not a best response of {shown(node)}"
             )
 
 
@@ -320,15 +321,16 @@ def construct_consensus_path(game: Game, x0: int, mode: str = "strict") -> BRPat
                 return
             move(k, 1 - (x >> k & 1))
 
-    coordinating_phase(backed_action)
-    anticoordinating_phase()
-    if not is_nash(game, x):
-        reached = _consensus_value(game, x)
-        coordinating_phase(1 - reached if reached is not None else backed_action)
+    # The coordinating phase returns only at consensus and the second phase
+    # moves no coordinating player, so a round always ends at consensus.
+    prefer = backed_action
+    for _ in range(2):
+        coordinating_phase(prefer)
         anticoordinating_phase()
-        if not is_nash(game, x):
-            raise violation("the two-phase construction did not terminate at an equilibrium")
-    return BRPath(tuple(steps), tuple(configs))
+        if is_nash(game, x):
+            return BRPath(tuple(steps), tuple(configs))
+        prefer = 1 - _consensus_value(game, x)
+    raise violation("the two-phase construction did not terminate at an equilibrium")
 
 
 # -- stochastic simulation ----------------------------------------------

@@ -21,7 +21,7 @@ from typing import Iterable, Mapping
 
 from .errors import GameInputError, SizeCapError
 from .graph import WeightedGraph, ZERO
-from .rationals import as_rational
+from .rationals import as_rational, shown
 
 # Players an exhaustive configuration scan may enumerate (2^ENUM_CAP states).
 ENUM_CAP = 20
@@ -36,15 +36,15 @@ def _threshold_map(nodes, thresholds) -> dict:
         out = {}
         for v in nodes:
             if v not in thresholds:
-                raise GameInputError(f"missing threshold for node {v!r}")
-            out[v] = as_rational(thresholds[v], what=f"threshold of {v!r}")
+                raise GameInputError(f"missing threshold for node {shown(v)}")
+            out[v] = as_rational(thresholds[v], what=f"threshold of {shown(v)}")
     else:
         uniform = as_rational(thresholds, what="threshold")
         out = {v: uniform for v in nodes}
     for v, r in out.items():
         if not (0 < r < 1):
             raise GameInputError(
-                f"threshold of {v!r} must lie strictly between 0 and 1, got {r}"
+                f"threshold of {shown(v)} must lie strictly between 0 and 1, got {r}"
             )
     return out
 
@@ -70,21 +70,20 @@ class Game:
         self.n = n
         self.anti_mask = ((1 << n) - 1) ^ self.coord_mask if n else 0
 
-        # Per-index tables read by best responses and the per-side scans.
-        # One integer scale for the whole game clears every edge weight and
-        # r_i * w_i: both ends of an edge carry one integer, and margins compare.
+        # Per-index tables.  One integer scale for the whole game clears every
+        # edge weight and r_i * w_i: both ends of an edge carry one integer,
+        # margins compare, and a sum divided by _scale is exact again.
         self._sign = [1 if self.coord_mask >> k & 1 else -1 for k in range(n)]
-        self._r = [self.thresholds[v] for v in nodes]
-        self._nbrf = [          # (neighbor index, Fraction weight)
+        rows = [
             tuple((graph.index(u), graph.weight(v, u)) for u in graph.neighbors(v))
             for v in nodes
         ]
-        totals = [r * sum((w for _, w in row), ZERO) for r, row in zip(self._r, self._nbrf)]
-        scale = math.lcm(
+        totals = [self.thresholds[v] * graph.degree(v) for v in nodes]
+        self._scale = scale = math.lcm(
             *(t.denominator for t in totals),
-            *(w.denominator for row in self._nbrf for _, w in row),
+            *(w.denominator for row in rows for _, w in row),
         )
-        self._nbrw = [tuple((j, int(w * scale)) for j, w in row) for row in self._nbrf]
+        self._nbrw = [tuple((j, int(w * scale)) for j, w in row) for row in rows]
         self._thr_int = [int(t * scale) for t in totals]   # r_i * w_i, scaled
 
         self._coord_idx = tuple(k for k in range(n) if self._sign[k] > 0)
@@ -106,10 +105,10 @@ class Game:
         mask = 0
         for k, v in enumerate(self.nodes):
             if v not in actions:
-                raise GameInputError(f"configuration is missing player {v!r}")
+                raise GameInputError(f"configuration is missing player {shown(v)}")
             a = actions[v]
             if a not in (0, 1):
-                raise GameInputError(f"action of {v!r} must be 0 or 1, got {a!r}")
+                raise GameInputError(f"action of {shown(v)} must be 0 or 1, got {shown(a)}")
             mask |= a << k
         return mask
 
@@ -124,7 +123,7 @@ class Game:
         """Configuration from a 0/1 string ordered by ascending node id."""
         if len(text) != self.n or any(c not in "01" for c in text):
             raise GameInputError(
-                f"configuration string must be {self.n} characters of 0/1, got {text!r}"
+                f"configuration string must be {self.n} characters of 0/1, got {shown(text)}"
             )
         mask = 0
         for k, c in enumerate(text):
@@ -167,12 +166,11 @@ def utility(game: Game, node, x: int) -> Fraction:
     ``sign * r * (weight of 0-neighbors)``.
     """
     k = game.graph.index(node)
-    r = game._r[k]
-    if x >> k & 1:
-        w1 = sum((w for j, w in game._nbrf[k] if x >> j & 1), ZERO)
-        return game._sign[k] * (1 - r) * w1
-    w0 = sum((w for j, w in game._nbrf[k] if not x >> j & 1), ZERO)
-    return game._sign[k] * r * w0
+    r = game.thresholds[node]
+    xk = x >> k & 1
+    matched = sum(w for j, w in game._nbrw[k] if (x >> j & 1) == xk)
+    share = r.denominator - r.numerator if xk else r.numerator
+    return Fraction(game._sign[k] * share * matched, r.denominator * game._scale)
 
 
 def utility_by_definition(game: Game, node, x: int) -> Fraction:
@@ -181,21 +179,22 @@ def utility_by_definition(game: Game, node, x: int) -> Fraction:
     Each neighbor contributes ``(1 - r) * x_i * x_j + r * (1 - x_i) *
     (1 - x_j)`` times the edge weight; the term is evaluated per neighbor by
     case analysis on the two actions.  Kept as an independent cross-check of
-    the reduced form used everywhere else; do not collapse this into the
-    threshold fast path.
+    the reduced form used everywhere else: it reads only the graph and the
+    thresholds, never the game's derived tables; do not collapse this into
+    the threshold fast path.
     """
-    k = game.graph.index(node)
-    r = game._r[k]
+    graph = game.graph
+    xi = x >> graph.index(node) & 1
+    r = game.thresholds[node]
     match_one = 1 - r
-    xi = x >> k & 1
     total = ZERO
-    for j, w in game._nbrf[k]:
-        xj = x >> j & 1
+    for u in graph.neighbors(node):
+        xj = x >> graph.index(u) & 1
         if xi and xj:
-            total += w * match_one
+            total += graph.weight(node, u) * match_one
         elif not xi and not xj:
-            total += w * r
-    return total if game._sign[k] > 0 else -total
+            total += graph.weight(node, u) * r
+    return total if node in game.coordinating else -total
 
 
 def best_response(game: Game, node, x: int) -> frozenset:

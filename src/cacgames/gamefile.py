@@ -29,7 +29,7 @@ from typing import Optional
 from .errors import GameInputError
 from .game import Game
 from .graph import WeightedGraph
-from .rationals import format_rational
+from .rationals import format_rational, shown
 
 ROLES = ("coordinating", "anticoordinating")
 
@@ -60,7 +60,7 @@ def parse_game(text: str) -> Game:
         if isinstance(node_id, str) and re.search("[\ud800-\udfff]", node_id):
             raise GameInputError(f"nodes[{k}]: id holds a lone surrogate, which no encoding can write")
         if role not in ROLES:
-            raise GameInputError(f"nodes[{k}]: role must be one of {ROLES}, got {role!r}")
+            raise GameInputError(f"nodes[{k}]: role must be one of {ROLES}, got {shown(role)}")
         ids.append(node_id)
         thresholds[node_id] = threshold
         if role == "coordinating":
@@ -90,9 +90,9 @@ def load_game(path: str) -> Game:
         text = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
         text.encode("utf-8")  # standard input may decode bad bytes to lone surrogates
     except OSError as exc:
-        raise GameInputError(f"cannot read {path!r}: {exc.strerror}") from None
+        raise GameInputError(f"cannot read {shown(path)}: {exc.strerror}") from None
     except UnicodeError:
-        raise GameInputError(f"cannot read {path!r}: not UTF-8 text") from None
+        raise GameInputError(f"cannot read {shown(path)}: not UTF-8 text") from None
     return parse_game(text)
 
 

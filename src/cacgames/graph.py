@@ -21,7 +21,7 @@ from itertools import islice
 from typing import Iterable, Tuple
 
 from .errors import GameInputError
-from .rationals import as_rational, format_rational
+from .rationals import as_rational, format_rational, shown
 
 NODE_CAP = 64
 
@@ -46,9 +46,9 @@ class WeightedGraph:
             try:
                 repeated = v in seen
             except TypeError:
-                raise GameInputError(f"nodes[{k}]: unhashable node id {v!r}") from None
+                raise GameInputError(f"nodes[{k}]: unhashable node id {shown(v)}") from None
             if repeated:
-                raise GameInputError(f"nodes[{k}]: duplicate node id {v!r}")
+                raise GameInputError(f"nodes[{k}]: duplicate node id {shown(v)}")
             seen.add(v)
         try:
             self._nodes: Tuple = tuple(sorted(node_list))
@@ -66,22 +66,23 @@ class WeightedGraph:
             raise GameInputError(f"{where}: expected (u, v, weight)") from None
         for end in (u, v):
             if end not in self:
-                raise GameInputError(f"{where}: unknown node {end!r}")
+                raise GameInputError(f"{where}: unknown node {shown(end)}")
         if u == v:
-            raise GameInputError(f"{where}: self-loop at {u!r}")
+            raise GameInputError(f"{where}: self-loop at {shown(u)}")
         weight = as_rational(w, what=f"{where}: weight")
         if weight <= 0:
-            got = f"zero weight {w!r} (omit non-edges)" if weight == 0 else f"negative weight {w!r}"
+            got = (f"zero weight {shown(w)} (omit non-edges)" if weight == 0
+                   else f"negative weight {shown(w)}")
             raise GameInputError(f"{where}: weight must be positive, got {got}")
         listed = self._adj[u].get(v)
         if listed is not None:
             pair = (u, v) if self._index[u] < self._index[v] else (v, u)
             if listed != weight:
                 raise GameInputError(
-                    f"{where}: asymmetric weights for edge {pair!r}: "
+                    f"{where}: asymmetric weights for edge {shown(pair)}: "
                     f"{format_rational(listed)} vs {format_rational(weight)}"
                 )
-            raise GameInputError(f"{where}: duplicate edge {pair!r}")
+            raise GameInputError(f"{where}: duplicate edge {shown(pair)}")
         self._adj[u][v] = weight
         self._adj[v][u] = weight
 
@@ -105,7 +106,7 @@ class WeightedGraph:
         try:
             return self._index[node]
         except (KeyError, TypeError):
-            raise GameInputError(f"unknown node {node!r}") from None
+            raise GameInputError(f"unknown node {shown(node)}") from None
 
     def neighbors(self, node) -> Tuple:
         self.index(node)

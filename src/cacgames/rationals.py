@@ -14,6 +14,16 @@ from .errors import GameInputError
 _RATIONAL_RE = re.compile(r"[+-]?\d+(?:\s*/\s*\d+)?")
 
 
+def shown(value) -> str:
+    """``repr(value)`` for a diagnostic, cut after 40 characters so that a
+    long input is never echoed in full: a string's own text, anything else
+    its repr."""
+    if isinstance(value, str):
+        return repr(value) if len(value) <= 40 else repr(value[:40]) + "..."
+    text = repr(value)
+    return text if len(text) <= 40 else text[:40] + "..."
+
+
 def as_rational(value, what: str = "value") -> Fraction:
     """Coerce ints, Fractions and "p/q" strings to Fraction; reject floats."""
     if isinstance(value, bool):
@@ -28,16 +38,15 @@ def as_rational(value, what: str = "value") -> Fraction:
         )
     if isinstance(value, str):
         text = value.strip()
-        shown = repr(value) if len(value) <= 40 else repr(value[:40]) + "..."
         if not _RATIONAL_RE.fullmatch(text):
             raise GameInputError(
-                f"{what}: malformed rational {shown} (expected 'p' or 'p/q')"
+                f"{what}: malformed rational {shown(value)} (expected 'p' or 'p/q')"
             )
         try:
             return Fraction(text)
         except ZeroDivisionError:
             raise GameInputError(
-                f"{what}: malformed rational {shown} (zero denominator)"
+                f"{what}: malformed rational {shown(value)} (zero denominator)"
             ) from None
         except ValueError:  # a part over Python's digit limit
             raise GameInputError(f"{what}: rational has too many digits") from None

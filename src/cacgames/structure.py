@@ -24,6 +24,7 @@ from .errors import DegenerateNodeError, GameInputError, SizeCapError
 from .game import Game, _equilibria, _threshold_map
 from .game import utility as _full_utility
 from .graph import WeightedGraph, ZERO
+from .rationals import shown
 
 # Search nodes the partition search may visit before it gives up with
 # SizeCapError.  A hard seeded 38-member instance needs 1.4M nodes; without
@@ -307,7 +308,7 @@ class RestrictedGame:
     def _moving_index(self, node) -> int:
         k = self.game.graph.index(node)
         if not self.moving_mask >> k & 1:
-            raise GameInputError(f"{node!r} is not on the {self.side} side")
+            raise GameInputError(f"{shown(node)} is not on the {self.side} side")
         return k
 
     def modified_threshold(self, node) -> Fraction:
@@ -320,9 +321,9 @@ class RestrictedGame:
         inside, pull = _own_side(self.game, self._moving_index(node), self.fixed)
         if inside == 0:
             raise DegenerateNodeError(
-                f"{node!r} has no same-side neighbors; its effective threshold is undefined"
+                f"{shown(node)} has no same-side neighbors; its effective threshold is undefined"
             )
-        return pull / inside
+        return Fraction(pull, inside)
 
     def utility(self, node, x: int) -> Fraction:
         """Utility of a moving player at the merged configuration."""
@@ -338,17 +339,17 @@ class RestrictedGame:
             raise GameInputError("the non-strategic term is defined for the coordinating side")
         k = self._moving_index(node)
         game = self.game
-        r = game._r[k]
+        r = game.thresholds[node]
         r_eff = self.modified_threshold(node)
         merged = self.merged(x)
-        own0 = out0 = ZERO
-        for j, w in game._nbrf[k]:
+        own0 = out0 = 0
+        for j, w in game._nbrw[k]:
             if not merged >> j & 1:
                 if game._sign[j] > 0:
                     own0 += w
                 else:
                     out0 += w
-        return (r - r_eff) * own0 + r * out0
+        return ((r - r_eff) * own0 + r * out0) / game._scale
 
     def potential(self, x: int) -> Fraction:
         merged = self.merged(x)
@@ -370,25 +371,24 @@ def _own_side(game: Game, k: int, x: int) -> tuple:
     """Own-side degree ``W_in`` of player index k and its pull
     ``r_k * w_k - (opposite-side weight playing 1 in x)``.
 
-    The effective threshold is ``pull / W_in``; only the opposite side's
-    bits of ``x`` are read.
+    Both are integers on the game's scale.  The effective threshold is
+    ``pull / W_in``; only the opposite side's bits of ``x`` are read.
     """
     own = game._sign[k]
-    inside = w = out1 = ZERO
-    for j, wt in game._nbrf[k]:
-        w += wt
+    inside = out1 = 0
+    for j, w in game._nbrw[k]:
         if game._sign[j] == own:
-            inside += wt
+            inside += w
         elif x >> j & 1:
-            out1 += wt
-    return inside, game._r[k] * w - out1
+            out1 += w
+    return inside, game._thr_int[k] - out1
 
 
 def _cleared_coefficient(game: Game, k: int, x: int) -> Fraction:
     """(effective threshold - 1/2) * own-side degree, in division-free form
     that stays defined when the own-side degree is zero."""
     inside, pull = _own_side(game, k, x)
-    return pull - inside / 2
+    return Fraction(2 * pull - inside, 2 * game._scale)
 
 
 def _side_potential(game: Game, side: tuple, sign: int, x: int) -> Fraction:
@@ -403,15 +403,15 @@ def _side_potential(game: Game, side: tuple, sign: int, x: int) -> Fraction:
     Anti-coordinating players (``sign`` -1) gain from mismatches, so their
     side's form is negated.
     """
-    total = ZERO
+    matched, cleared = 0, ZERO
     for k in side:
         xk = x >> k & 1
-        for j, w in game._nbrf[k]:
+        for j, w in game._nbrw[k]:
             if j > k and game._sign[j] == sign and (x >> j & 1) == xk:
-                total += w / 2
+                matched += w
         if xk:
-            total -= _cleared_coefficient(game, k, x)
-    return sign * total
+            cleared += _cleared_coefficient(game, k, x)
+    return sign * (Fraction(matched, 2 * game._scale) - cleared)
 
 
 def coordination_potential(game: Game, x: int) -> Fraction:

@@ -244,6 +244,9 @@ def test_parse_error_exit_code(tmp_path, capsys):
     bad.write_text('{"nodes": [], "edges": "nope"}')
     code, out, err = run(capsys, "analyze", str(bad))
     assert code == 1 and "error" in err
+    for flag in ("--runs", "--max-steps"):
+        code, out, err = run(capsys, "simulate", "pennies", flag, "-1")
+        assert code == 1 and out == "" and "must be non-negative" in err
 
 
 def test_missing_file_exit_code(capsys):

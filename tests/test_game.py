@@ -78,10 +78,7 @@ def test_best_response_never_empty_and_tie_iff_equality():
             for v in game.nodes:
                 br = best_response(game, v, x)
                 assert br
-                k = game.graph.index(v)
-                w1 = sum(
-                    (w for j, w in game._nbrf[k] if x >> j & 1), Fraction(0)
-                )
+                w1 = game.graph.restricted_degree(v, game.graph.members_of(x))
                 assert (len(br) == 2) == (w1 == game.thresholds[v] * game.graph.degree(v))
 
 
@@ -92,6 +89,25 @@ def test_best_response_agrees_with_argmax_oracle():
         for x in range(1 << game.n):
             for v in game.nodes:
                 assert best_response(game, v, x) == best_response_by_definition(game, v, x)
+
+
+def test_oracle_reads_only_the_graph_and_thresholds():
+    # The oracle must share no table with the fast paths it checks: it still
+    # answers once every private attribute of the game is gone.
+    rng = random.Random(52)
+    for _ in range(12):
+        game = cg.random_game(rng, rng.randint(2, 6), max_weight=4)
+        cases = [(v, x) for v in game.nodes for x in range(1 << game.n)]
+        expected = [
+            (utility_by_definition(game, v, x), best_response_by_definition(game, v, x))
+            for v, x in cases
+        ]
+        for name in [name for name in vars(game) if name.startswith("_")]:
+            delattr(game, name)
+        assert [
+            (utility_by_definition(game, v, x), best_response_by_definition(game, v, x))
+            for v, x in cases
+        ] == expected
 
 
 def test_flip_duality_of_best_responses():

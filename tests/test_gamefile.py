@@ -140,22 +140,38 @@ def test_cli_rejects_input_that_is_not_utf8(tmp_path, capsys, monkeypatch):
         assert captured.out == "" and "not UTF-8 text" in captured.err
 
 
-def test_rationals_over_the_digit_limit_are_input_errors(capsys):
+def test_rationals_over_the_digit_limit_are_input_errors(tmp_path, capsys):
     from cacgames.cli import main
 
     huge = "1/" + "0" * 5000  # a zero denominator where digits are unlimited
     with pytest.raises(GameInputError, match="^threshold: "):
         cg.as_rational(huge, what="threshold")
     long_text = "x" * 20_000  # malformed, and echoed only in part
+    files = []
+    for k, text in enumerate((
+        _file([_node(long_text, threshold="half")], []),
+        _file([_node(long_text), _node(long_text)], []),
+        _file([_node("a")], [{"u": "a", "v": long_text, "weight": "1"}]),
+        _file([_node("a", role=long_text)], []),
+    )):
+        files.append(tmp_path / f"long{k}.json")
+        files[-1].write_text(text)
     for argv in (
         ["analyze", "k3", "--r", huge],
         ["gen", "--nodes", "3", "--edge-prob", huge],
         ["analyze", "k3", "--r", long_text],
+        *(["analyze", str(path)] for path in files),
+        ["export", "k3", "--config", long_text],
+        ["reach", "k3", "--from", long_text],
+        ["analyze", long_text],
     ):
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: "), argv
         assert len(captured.err) < 200, argv
+    with pytest.raises(GameInputError) as info:
+        cg.best_response(cg.fixture("k3"), long_text, 0)
+    assert len(str(info.value)) < 200
 
 
 def test_parse_reports_json_syntax_position():

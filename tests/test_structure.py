@@ -142,6 +142,27 @@ def test_strict_indecomposability_implies_weak():
             assert indecomposability(game.graph, members, th, mode="weak").holds
 
 
+def test_isolated_member_makes_weak_mode_indecomposable(tmp_path, capsys):
+    # Player 5 has no neighbors, so both actions are best responses at every
+    # configuration; weak mode counts that tie as a certificate of any part
+    # holding it, so no split of 1..5 is a weak decomposition.
+    graph = WeightedGraph(range(1, 6), [(1, 2, 1), (3, 4, 1)])
+    for mode in ("strict", "weak"):
+        assert not indecomposability(graph, range(1, 5), HALF, mode)
+    assert not indecomposability(graph, range(1, 6), HALF, "strict")
+    assert indecomposability(graph, range(1, 6), HALF, "weak")
+    game = Game(graph, range(1, 6), HALF)
+    assert all(cg.best_response(game, 5, x) == {0, 1} for x in range(1 << game.n))
+    # the weak guarantee does not hold here: no consensus equilibrium is
+    # reachable from 11000, and the path construction exits 3
+    x0 = game.parse_bits("11000")
+    assert not cg.reachability_from(game, x0, cg.consensus_equilibria(game)).reached
+    path = tmp_path / "isolated.json"
+    path.write_text(cg.serialize_game(game))
+    assert main(["path", str(path), "--from", "11000", "--mode", "weak"]) == 3
+    assert capsys.readouterr().out == ""
+
+
 def _ascending_decompositions(graph, members, th, mode):
     """Oracle: certify every split in ascending bitmask order of part0."""
     ordered = sorted(members)
@@ -279,7 +300,6 @@ def test_best_response_consistency_of_modified_thresholds():
         game = cg.random_game(rng, rng.randint(2, 7), max_weight=3)
         size = 1 << game.n
         for v in game.coordinating:
-            k = game.graph.index(v)
             inside = game.graph.restricted_degree(v, game.coordinating)
             if inside == 0:
                 continue
@@ -288,9 +308,8 @@ def test_best_response_consistency_of_modified_thresholds():
                 r_eff = view.modified_threshold(v)
                 for x in range(size):
                     merged = view.merged(x)
-                    inside_one = sum(
-                        (w for j, w in game._nbrf[k] if game._sign[j] > 0 and merged >> j & 1),
-                        ZERO,
+                    inside_one = game.graph.restricted_degree(
+                        v, game.graph.members_of(merged & game.coord_mask)
                     )
                     assert (1 in cg.best_response(game, v, merged)) == (
                         inside_one >= r_eff * inside
@@ -302,16 +321,17 @@ def test_best_response_consistency_of_modified_thresholds():
 
 def _three_term_utility(game, view, v, x):
     # independent expansion: own-side matching + own-action gain + constant
-    k = game.graph.index(v)
-    r = game._r[k]
+    graph = game.graph
+    r = game.thresholds[v]
     merged = view.merged(x)
-    yi = merged >> k & 1
+    yi = merged >> graph.index(v) & 1
     own = ZERO
     gain = ZERO
     const = ZERO
-    for j, w in game._nbrf[k]:
-        xj = merged >> j & 1
-        if game._sign[j] > 0:
+    for u in graph.neighbors(v):
+        w = graph.weight(v, u)
+        xj = merged >> graph.index(u) & 1
+        if u in game.coordinating:
             own += w * ((1 - r) * yi * xj + r * (1 - yi) * (1 - xj))
         else:
             gain += w * ((1 - r) * xj - r * (1 - xj))
@@ -362,9 +382,10 @@ def test_modified_threshold_decomposition_where_defined(games):
                 merged = view.merged(x)
                 yi = merged >> k & 1
                 coord_part = ZERO
-                for j, w in a._nbrf[k]:
-                    if a._sign[j] > 0:
-                        yj = merged >> j & 1
+                for u in a.graph.neighbors(v):
+                    if u in a.coordinating:
+                        w = a.graph.weight(v, u)
+                        yj = merged >> a.graph.index(u) & 1
                         coord_part += w * ((1 - r_eff) * yi * yj + r_eff * (1 - yi) * (1 - yj))
                 assert view.utility(v, x) == coord_part + view.nonstrategic_term(v, x)
 
