@@ -9,11 +9,7 @@ keeps only the state-changing moves.
 from __future__ import annotations
 
 import random
-from array import array
-from collections import deque
 from dataclasses import dataclass
-from itertools import compress, count
-from operator import not_
 from typing import Iterable, Optional
 
 from .errors import (
@@ -22,7 +18,15 @@ from .errors import (
     PathValidationError,
     PreconditionError,
 )
-from .game import Game, _check_cap, _restless, is_nash
+from .game import (
+    Game,
+    _best_response_sets,
+    _check_cap,
+    _literals,
+    _positions,
+    _restless,
+    is_nash,
+)
 from .rationals import shown
 from .structure import game_cohesiveness, game_indecomposability
 
@@ -92,39 +96,49 @@ def br_transitions(game: Game, x: int) -> list:
     return out
 
 
-def _closure(game: Game, sources, backward: bool) -> array:
-    """Breadth-first closure of ``sources`` under best-response moves.
+def _closure(game: Game, sources: int, backward: bool) -> list:
+    """Breadth-first closure of the configuration set ``sources`` (a bitset
+    over the full cube) under best-response moves.
 
-    Returns one layer per configuration: 1 + moves to the nearest source,
-    0 outside the closure.  A backward closure follows moves into x: player
-    k can move into x exactly when x's own bit at k is a best response
-    against x.
+    Returns one frontier bitset per layer: layer d holds the configurations
+    d moves from the nearest source.  A backward closure follows moves into
+    x: player k can move into x exactly when x's own bit at k is a best
+    response against x.  A layer is ``OR_k flip_k(F & movable_k)``, where
+    ``flip_k`` shifts the configurations with bit k at 0 up by 2^k and
+    those with bit k at 1 down by 2^k.
     """
-    along = 0 if backward else 1
-    br = game._br_bits
-    n = game.n
-    depth = array("I", [0]) * (1 << n)
-    frontier = deque(sources)
-    for x in frontier:
-        depth[x] = 1
-    while frontier:
-        x = frontier.popleft()
-        layer = depth[x] + 1
-        for k in range(n):
-            if br(k, x) >> ((x >> k & 1) ^ along) & 1:
-                y = x ^ (1 << k)
-                if not depth[y]:
-                    depth[y] = layer
-                    frontier.append(y)
-    return depth
+    literals = _literals((1 << game.n) - 1)
+    movers = []
+    for k in range(game.n):
+        ones, zeros = _best_response_sets(game, k, 0, literals)
+        if backward:
+            ones, zeros = zeros, ones
+        # Configurations that move up (bit k 0 -> 1) and down (1 -> 0).
+        movers.append((ones & ~literals[k], zeros & literals[k], 1 << k))
+    seen = frontier = sources
+    layers = [frontier]
+    while True:
+        reached = 0
+        for up, down, shift in movers:
+            reached |= (frontier & up) << shift | (frontier & down) >> shift
+        frontier = reached & ~seen
+        if not frontier:
+            return layers
+        seen |= frontier
+        layers.append(frontier)
 
 
-def _members(depth, inside: bool = True) -> frozenset:
+def _members(game: Game, layers, inside: bool = True) -> frozenset:
     """The configurations inside a closure's layers, or outside them."""
-    return frozenset(compress(count(), depth if inside else map(not_, depth)))
+    seen = 0
+    for layer in layers:
+        seen |= layer
+    if not inside:
+        seen ^= (1 << (1 << game.n)) - 1
+    return frozenset(_positions(seen))
 
 
-def _walk(game: Game, depth, x: int, backward: bool) -> BRPath:
+def _walk(game: Game, layers, x: int, backward: bool) -> BRPath:
     """Shortest path between ``x`` and the closure's sources, read from the
     layers: from ``x`` down, each move is the lowest player index that drops
     one layer.  The path is returned in the direction of play.
@@ -133,11 +147,12 @@ def _walk(game: Game, depth, x: int, backward: bool) -> BRPath:
     # action is the one x switches to; over a forward closure y moved into x.
     along = 1 if backward else 0
     configs, steps = [x], []
-    for layer in range(depth[x] - 1, 0, -1):
+    depth = next(d for d, layer in enumerate(layers) if layer >> x & 1)
+    for layer in reversed(layers[:depth]):
         for k in range(game.n):
             y = x ^ (1 << k)
             action = (x >> k & 1) ^ along
-            if depth[y] == layer and game._br_bits(k, x) >> action & 1:
+            if game._br_bits(k, x) >> action & 1 and layer >> y & 1:
                 break
         steps.append((game.nodes[k], action))
         x = y
@@ -153,6 +168,14 @@ def _check_config(game: Game, x, what: str) -> None:
         raise GameInputError(f"{what} configuration {x!r} is out of range")
 
 
+def _bitset(configs, n: int) -> int:
+    """The set of ``configs`` as a bitset over the full cube of n players."""
+    data = bytearray(((1 << n) + 7) >> 3)
+    for x in configs:
+        data[x >> 3] |= 1 << (x & 7)
+    return int.from_bytes(data, "little")
+
+
 def _target_set(game: Game, target: Iterable) -> frozenset:
     target_set = frozenset(target)
     if not target_set:
@@ -166,7 +189,7 @@ def reachable_set(game: Game, x0: int) -> set:
     """Forward closure of one configuration under best-response moves."""
     _check_cap(game.n)
     _check_config(game, x0, "source")
-    return set(_members(_closure(game, (x0,), backward=False)))
+    return set(_members(game, _closure(game, 1 << x0, backward=False)))
 
 
 @dataclass(frozen=True)
@@ -196,13 +219,16 @@ def reachability_from(game: Game, x0: int, target: Iterable) -> ReachabilityRepo
     _check_cap(game.n)  # before the target check, as in global_reachability
     target_set = _target_set(game, target)
     _check_config(game, x0, "source")
-    depth = _closure(game, (x0,), backward=False)
-    nearest = min(((depth[t], t) for t in target_set if depth[t]), default=None)
-    if nearest is None:
-        members = _members(depth)
-        return ReachabilityReport(x0, False, len(members), members, None)
-    witness = _walk(game, depth, nearest[1], backward=False)
-    return ReachabilityReport(x0, True, len(depth) - depth.count(0), frozenset(), witness)
+    layers = _closure(game, 1 << x0, backward=False)
+    goal = _bitset(target_set, game.n)
+    for layer in layers:
+        hit = layer & goal
+        if hit:
+            witness = _walk(game, layers, (hit & -hit).bit_length() - 1, backward=False)
+            count = sum(f.bit_count() for f in layers)
+            return ReachabilityReport(x0, True, count, frozenset(), witness)
+    members = _members(game, layers)
+    return ReachabilityReport(x0, False, len(members), members, None)
 
 
 def global_reachability(game: Game, target: Iterable) -> ReachabilityReport:
@@ -213,12 +239,12 @@ def global_reachability(game: Game, target: Iterable) -> ReachabilityReport:
     """
     _check_cap(game.n)
     target_set = _target_set(game, target)
-    depth = _closure(game, target_set, backward=True)
-    if depth.count(0):
-        traps = _members(depth, inside=False)
-        return ReachabilityReport("all", False, len(depth) - len(traps), traps, None)
-    witness = _walk(game, depth, 0, backward=True)
-    return ReachabilityReport("all", True, len(depth), frozenset(), witness)
+    layers = _closure(game, _bitset(target_set, game.n), backward=True)
+    traps = _members(game, layers, inside=False)
+    if traps:
+        return ReachabilityReport("all", False, (1 << game.n) - len(traps), traps, None)
+    witness = _walk(game, layers, 0, backward=True)
+    return ReachabilityReport("all", True, 1 << game.n, frozenset(), witness)
 
 
 # -- constructive path to a consensus equilibrium -----------------------

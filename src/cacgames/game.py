@@ -43,8 +43,13 @@ def _threshold_map(nodes, thresholds) -> dict:
         out = {v: uniform for v in nodes}
     for v, r in out.items():
         if not (0 < r < 1):
+            try:
+                got = str(r)  # cut like ``shown``, but not quoted
+            except ValueError:  # a part over Python's digit limit
+                got = "a rational with too many digits"
             raise GameInputError(
-                f"threshold of {shown(v)} must lie strictly between 0 and 1, got {r}"
+                f"threshold of {shown(v)} must lie strictly between 0 and 1, "
+                f"got {got if len(got) <= 40 else got[:40] + '...'}"
             )
     return out
 
@@ -259,13 +264,125 @@ def _configurations(base: int, free: int):
             return
 
 
+# -- configuration sets as bitsets ----------------------------------------
+#
+# A set of configurations of one sub-cube (see ``_configurations``) is an
+# int with one bit per configuration: bit p stands for the configuration
+# whose free bits, read in ascending order, spell p.  On the full cube bit p
+# is configuration p.  Every exhaustive scan works set-at-a-time on these.
+
+
+def _literals(free: int) -> dict:
+    """Free bit j -> the set of the sub-cube's configurations with bit j at 1.
+
+    Each literal is one block of its periodic pattern, doubled until it
+    spans the cube.
+    """
+    width = 1 << free.bit_count()
+    out, half = {}, 1
+    for j in range(free.bit_length()):
+        if free >> j & 1:
+            pattern, span = ((1 << half) - 1) << half, half << 1
+            while span < width:
+                pattern |= pattern << span
+                span <<= 1
+            out[j] = pattern
+            half <<= 1
+    return out
+
+
+def _best_response_sets(game: Game, k: int, base: int, literals: dict) -> tuple:
+    """(ones, zeros): the sub-cube's configurations at which action 1, and
+    at which action 0, is a best response of player index k.
+
+    ``literals`` comes from ``_literals(free)``.  The configurations are
+    grouped by their integer 1-neighbour weight, one free neighbour at a
+    time, and each group is compared with ``r_k * w_k``; a tie lands in
+    both sets.  Weights are positive, so a group already above the
+    threshold, or below it even with every remaining free neighbour at 1,
+    is settled early.
+    """
+    s0, free_nbrs = 0, []
+    for j, w in game._nbrw[k]:
+        if j in literals:
+            free_nbrs.append((literals[j], w))
+        elif base >> j & 1:
+            s0 += w
+    t = game._thr_int[k]
+    rest = sum(w for _, w in free_nbrs)
+    above = below = 0
+    groups = {s0: (1 << (1 << len(literals))) - 1}
+    for lit, w in free_nbrs:
+        split = {}
+        for s, group in groups.items():
+            if s > t:
+                above |= group
+            elif s + rest < t:
+                below |= group
+            else:
+                hi = group & lit
+                if group ^ hi:
+                    split[s] = split.get(s, 0) | group ^ hi
+                if hi:
+                    split[s + w] = split.get(s + w, 0) | hi
+        groups = split
+        rest -= w
+    tie = 0
+    for s, group in groups.items():
+        if s > t:
+            above |= group
+        elif s < t:
+            below |= group
+        else:
+            tie = group
+    ones, zeros = above | tie, below | tie
+    return (ones, zeros) if game._sign[k] > 0 else (zeros, ones)
+
+
+_BYTE_BITS = tuple(tuple(b for b in range(8) if v >> b & 1) for v in range(256))
+
+
+def _positions(bits: int):
+    """The set bits of ``bits``, ascending, read one byte at a time (shifting
+    a big int once per member would be quadratic)."""
+    for i, byte in enumerate(bits.to_bytes((bits.bit_length() + 7) >> 3, "little")):
+        if byte:
+            i <<= 3
+            for b in _BYTE_BITS[byte]:
+                yield i + b
+
+
 def _equilibria(game: Game, base: int, free: int, players) -> list:
     """The configurations of one sub-cube (see ``_configurations``) at which
-    none of ``players`` is restless, ascending.  The only exhaustive
-    equilibrium scan; it is capped by the number of ``free`` bits.
+    every one of ``players`` plays a best response, ascending.  The only
+    exhaustive equilibrium scan; it is capped by the number of ``free`` bits.
     """
     _check_cap(free.bit_count())
-    return [x for x in _configurations(base, free) if _restless(game, x, players) is None]
+    literals = _literals(free)
+    still = (1 << (1 << len(literals))) - 1
+    for k in players:
+        ones, zeros = _best_response_sets(game, k, base, literals)
+        if k in literals:
+            still &= ones & literals[k] | zeros & ~literals[k]
+        else:
+            still &= ones if base >> k & 1 else zeros
+        if not still:
+            return []
+    # Deposit each position into the free bits, one table per position byte.
+    tables = []
+    bits = [1 << j for j in literals]
+    for c in range(0, len(bits), 8):
+        table = [0]
+        for bit in bits[c:c + 8]:
+            table += [x | bit for x in table]
+        tables.append(table)
+    out = []
+    for p in _positions(still):
+        x = base
+        for c, table in enumerate(tables):
+            x |= table[p >> 8 * c & 255]
+        out.append(x)
+    return out
 
 
 def enumerate_nash(game: Game) -> list:

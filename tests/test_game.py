@@ -20,14 +20,19 @@ from cacgames import (
     utility,
     utility_by_definition,
 )
-from cacgames.game import _configurations
+from cacgames.game import (
+    _best_response_sets,
+    _configurations,
+    _equilibria,
+    _literals,
+)
 
 HALF = Fraction(1, 2)
 
 
 def test_threshold_must_be_strictly_inside_unit_interval():
     g = WeightedGraph([1, 2], [(1, 2, 1)])
-    for bad in (0, 1, "5/4", "-1/2"):
+    for bad in (0, 1, "5/4", "-1/2", Fraction(10**5000)):
         with pytest.raises(GameInputError):
             Game(g, {1}, bad)
 
@@ -226,6 +231,42 @@ def test_configurations_walk_one_sub_cube_ascending():
         base = rng.getrandbits(n) & ~free
         expected = [x for x in range(1 << n) if x & ~free == base]
         assert list(_configurations(base, free)) == expected
+
+
+def test_bitset_scans_match_the_scalar_oracles(knife_edge_game):
+    # The bitset builder against ``_br_bits`` and the by-definition oracle,
+    # bit by bit, on the full cube and on random sub-cubes; the equilibrium
+    # scan against a brute-force filter of every configuration.
+    rng = random.Random(31)
+    ties = 0
+    for trial in range(60):
+        n = rng.randint(1, 9)
+        if trial % 2:
+            game = knife_edge_game(rng, n)
+        else:
+            game = cg.random_game(rng, n, max_weight=4)
+        for free in ((1 << n) - 1, rng.getrandbits(n), rng.getrandbits(n)):
+            base = rng.getrandbits(n) & ~free
+            literals = _literals(free)
+            configs = list(_configurations(base, free))
+            for k, node in enumerate(game.nodes):
+                ones, zeros = _best_response_sets(game, k, base, literals)
+                assert ones | zeros == (1 << len(configs)) - 1
+                for p, x in enumerate(configs):
+                    code = (zeros >> p & 1) | (ones >> p & 1) << 1
+                    assert code == game._br_bits(k, x), (trial, k, x)
+                    assert best_response_by_definition(game, node, x) == {
+                        a for a in (0, 1) if code >> a & 1
+                    }, (trial, k, x)
+                    ties += code == 3
+            for players in (range(n), [k for k in range(n) if rng.random() < 0.5]):
+                brute = [
+                    x for x in range(1 << n)
+                    if x & ~free == base
+                    and all(game._br_bits(k, x) >> (x >> k & 1) & 1 for k in players)
+                ]
+                assert _equilibria(game, base, free, players) == brute, (trial, free)
+    assert ties > 1000
 
 
 def test_enumeration_cap_is_enforced():

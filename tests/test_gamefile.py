@@ -160,6 +160,7 @@ def test_rationals_over_the_digit_limit_are_input_errors(tmp_path, capsys):
         ["analyze", "k3", "--r", huge],
         ["gen", "--nodes", "3", "--edge-prob", huge],
         ["analyze", "k3", "--r", long_text],
+        ["analyze", "k3", "--r", "9" * 4000 + "/1"],  # in range of the digit limit, not of (0, 1)
         *(["analyze", str(path)] for path in files),
         ["export", "k3", "--config", long_text],
         ["reach", "k3", "--from", long_text],
