@@ -13,6 +13,7 @@ import argparse
 import json
 import random
 import sys
+from itertools import islice
 
 from .dynamics import (
     construct_consensus_path,
@@ -86,7 +87,7 @@ def _path_json(game: Game, path, mode=None) -> dict:
 
 
 def _reach_json(game: Game, report, target_name: str, target_size: int) -> dict:
-    traps = sorted(report.trap_states)
+    traps = report.trap_states
     return {
         "schema": f"{SCHEMA_PREFIX}-reach/1",
         "source": report.source if report.source == "all" else game.format_bits(report.source),
@@ -95,7 +96,7 @@ def _reach_json(game: Game, report, target_name: str, target_size: int) -> dict:
         "reached": report.reached,
         "reachable_count": report.reachable_count,
         "trap_count": len(traps),
-        "trap_states": [game.format_bits(x) for x in traps[:TRAP_LIST_CAP]],
+        "trap_states": [game.format_bits(x) for x in islice(traps, TRAP_LIST_CAP)],
         "trap_states_truncated": len(traps) > TRAP_LIST_CAP,
         "witness_path": None if report.witness is None else _path_json(game, report.witness),
     }
@@ -164,7 +165,7 @@ def cmd_analyze(args) -> int:
         report["nash_count"] = len(nash)
         report["nash"] = [game.format_bits(x) for x in nash]
         report["consensus_equilibria"] = consensus_json
-        consensus = sorted(set(ones) | set(zeros))
+        consensus = ones + zeros
         if consensus:
             target, target_name = consensus, "consensus"
         elif nash:
@@ -289,8 +290,15 @@ def _add_game_argument(parser) -> None:
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as an input error (exit 1), cut short."""
+
+    def error(self, message):
+        raise GameInputError(message if len(message) <= 200 else message[:200] + "...")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cacgames",
         description="Exact analysis of coordination/anti-coordination games on graphs.",
     )
@@ -342,9 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except SizeCapError as exc:
         print(f"error: {exc}", file=sys.stderr)

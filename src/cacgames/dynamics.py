@@ -19,11 +19,11 @@ from .errors import (
     PreconditionError,
 )
 from .game import (
+    ConfigSet,
     Game,
     _best_response_sets,
     _check_cap,
     _literals,
-    _positions,
     _restless,
     is_nash,
 )
@@ -96,46 +96,48 @@ def br_transitions(game: Game, x: int) -> list:
     return out
 
 
-def _closure(game: Game, sources: int, backward: bool) -> list:
+def _movers(game: Game, backward: bool) -> list:
+    """Per player k, the (up, down) pair of ``_closure``: the configurations
+    where a move raises bit k, and where one lowers it.  Built once per game
+    and direction; the caller checks the cap first.
+    """
+    movers = game._movers.get(backward)
+    if movers is None:
+        literals = _literals((1 << game.n) - 1)
+        movers = []
+        for k in range(game.n):
+            ones, zeros = _best_response_sets(game, k, 0, literals)
+            if backward:
+                ones, zeros = zeros, ones
+            movers.append((ones & ~literals[k], zeros & literals[k]))
+        game._movers[backward] = movers
+    return movers
+
+
+def _closure(game: Game, sources: int, backward: bool) -> tuple:
     """Breadth-first closure of the configuration set ``sources`` (a bitset
     over the full cube) under best-response moves.
 
-    Returns one frontier bitset per layer: layer d holds the configurations
-    d moves from the nearest source.  A backward closure follows moves into
-    x: player k can move into x exactly when x's own bit at k is a best
-    response against x.  A layer is ``OR_k flip_k(F & movable_k)``, where
-    ``flip_k`` shifts the configurations with bit k at 0 up by 2^k and
-    those with bit k at 1 down by 2^k.
+    Returns the closure as one bitset and one frontier bitset per layer:
+    layer d holds the configurations d moves from the nearest source.  A
+    backward closure follows moves into x: player k can move into x exactly
+    when x's own bit at k is a best response against x.  A layer is
+    ``OR_k flip_k(F & movable_k)``, where ``flip_k`` shifts the
+    configurations with bit k at 0 up by 2^k and those with bit k at 1 down
+    by 2^k.
     """
-    literals = _literals((1 << game.n) - 1)
-    movers = []
-    for k in range(game.n):
-        ones, zeros = _best_response_sets(game, k, 0, literals)
-        if backward:
-            ones, zeros = zeros, ones
-        # Configurations that move up (bit k 0 -> 1) and down (1 -> 0).
-        movers.append((ones & ~literals[k], zeros & literals[k], 1 << k))
+    movers = _movers(game, backward)
     seen = frontier = sources
     layers = [frontier]
     while True:
         reached = 0
-        for up, down, shift in movers:
-            reached |= (frontier & up) << shift | (frontier & down) >> shift
+        for k, (up, down) in enumerate(movers):
+            reached |= (frontier & up) << (1 << k) | (frontier & down) >> (1 << k)
         frontier = reached & ~seen
         if not frontier:
-            return layers
+            return seen, layers
         seen |= frontier
         layers.append(frontier)
-
-
-def _members(game: Game, layers, inside: bool = True) -> frozenset:
-    """The configurations inside a closure's layers, or outside them."""
-    seen = 0
-    for layer in layers:
-        seen |= layer
-    if not inside:
-        seen ^= (1 << (1 << game.n)) - 1
-    return frozenset(_positions(seen))
 
 
 def _walk(game: Game, layers, x: int, backward: bool) -> BRPath:
@@ -168,28 +170,24 @@ def _check_config(game: Game, x, what: str) -> None:
         raise GameInputError(f"{what} configuration {x!r} is out of range")
 
 
-def _bitset(configs, n: int) -> int:
-    """The set of ``configs`` as a bitset over the full cube of n players."""
-    data = bytearray(((1 << n) + 7) >> 3)
-    for x in configs:
-        data[x >> 3] |= 1 << (x & 7)
-    return int.from_bytes(data, "little")
-
-
-def _target_set(game: Game, target: Iterable) -> frozenset:
-    target_set = frozenset(target)
-    if not target_set:
-        raise GameInputError("target set must be non-empty")
-    for t in target_set:
+def _target_bits(game: Game, target: Iterable) -> int:
+    """The checked, non-empty ``target`` as a bitset over the full cube."""
+    data = bytearray(((1 << game.n) + 7) >> 3)
+    for t in target:
         _check_config(game, t, "target")
-    return target_set
+        data[t >> 3] |= 1 << (t & 7)
+    bits = int.from_bytes(data, "little")
+    if not bits:
+        raise GameInputError("target set must be non-empty")
+    return bits
 
 
-def reachable_set(game: Game, x0: int) -> set:
-    """Forward closure of one configuration under best-response moves."""
+def reachable_set(game: Game, x0: int) -> ConfigSet:
+    """Forward closure of one configuration under best-response moves, as a
+    read-only set."""
     _check_cap(game.n)
     _check_config(game, x0, "source")
-    return set(_members(game, _closure(game, 1 << x0, backward=False)))
+    return ConfigSet(_closure(game, 1 << x0, backward=False)[0])
 
 
 @dataclass(frozen=True)
@@ -199,13 +197,14 @@ class ReachabilityReport:
     ``source`` is a configuration mask or "all".  For a single source,
     ``reachable_count`` is the size of its forward closure; for "all" it is
     the number of configurations from which the target can be reached.
+    ``trap_states`` is a read-only set, ascending when iterated.
     ``witness`` is present exactly when the target was reached.
     """
 
     source: object
     reached: bool
     reachable_count: int
-    trap_states: frozenset
+    trap_states: ConfigSet
     witness: Optional[BRPath]
 
 
@@ -217,18 +216,15 @@ def reachability_from(game: Game, x0: int, target: Iterable) -> ReachabilityRepo
     forward closure is reported as trapped.
     """
     _check_cap(game.n)  # before the target check, as in global_reachability
-    target_set = _target_set(game, target)
+    goal = _target_bits(game, target)
     _check_config(game, x0, "source")
-    layers = _closure(game, 1 << x0, backward=False)
-    goal = _bitset(target_set, game.n)
+    seen, layers = _closure(game, 1 << x0, backward=False)
     for layer in layers:
         hit = layer & goal
         if hit:
             witness = _walk(game, layers, (hit & -hit).bit_length() - 1, backward=False)
-            count = sum(f.bit_count() for f in layers)
-            return ReachabilityReport(x0, True, count, frozenset(), witness)
-    members = _members(game, layers)
-    return ReachabilityReport(x0, False, len(members), members, None)
+            return ReachabilityReport(x0, True, seen.bit_count(), ConfigSet(0), witness)
+    return ReachabilityReport(x0, False, seen.bit_count(), ConfigSet(seen), None)
 
 
 def global_reachability(game: Game, target: Iterable) -> ReachabilityReport:
@@ -238,13 +234,12 @@ def global_reachability(game: Game, target: Iterable) -> ReachabilityReport:
     the witness is the path from configuration 0 read from the same closure.
     """
     _check_cap(game.n)
-    target_set = _target_set(game, target)
-    layers = _closure(game, _bitset(target_set, game.n), backward=True)
-    traps = _members(game, layers, inside=False)
+    seen, layers = _closure(game, _target_bits(game, target), backward=True)
+    traps = seen ^ ((1 << (1 << game.n)) - 1)
     if traps:
-        return ReachabilityReport("all", False, (1 << game.n) - len(traps), traps, None)
+        return ReachabilityReport("all", False, seen.bit_count(), ConfigSet(traps), None)
     witness = _walk(game, layers, 0, backward=True)
-    return ReachabilityReport("all", True, 1 << game.n, frozenset(), witness)
+    return ReachabilityReport("all", True, 1 << game.n, ConfigSet(0), witness)
 
 
 # -- constructive path to a consensus equilibrium -----------------------

@@ -16,6 +16,7 @@ Configurations are integer bitmasks over the graph's sorted node order
 from __future__ import annotations
 
 import math
+from collections.abc import Set
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -93,6 +94,9 @@ class Game:
 
         self._coord_idx = tuple(k for k in range(n) if self._sign[k] > 0)
         self._anti_idx = tuple(k for k in range(n) if self._sign[k] < 0)
+        # backward -> the reachability closure's mover sets, filled on first
+        # use by ``dynamics._movers``.
+        self._movers = {}
 
     # -- basic accessors -------------------------------------------------
 
@@ -350,6 +354,42 @@ def _positions(bits: int):
             i <<= 3
             for b in _BYTE_BITS[byte]:
                 yield i + b
+
+
+class ConfigSet(Set):
+    """A read-only set of configurations held as one full-cube bitset.
+
+    Compares and hashes equal to the ``frozenset`` of the same members;
+    iteration is ascending, and set operators return a ``frozenset``.
+    """
+
+    __slots__ = ("_bits",)
+
+    def __init__(self, bits: int):
+        self._bits = bits
+
+    def __len__(self) -> int:
+        return self._bits.bit_count()
+
+    def __contains__(self, x) -> bool:
+        bits = self._bits
+        return isinstance(x, int) and 0 <= x < bits.bit_length() and bool(bits >> x & 1)
+
+    def __iter__(self):
+        return _positions(self._bits)
+
+    @classmethod
+    def _from_iterable(cls, it) -> frozenset:
+        return frozenset(it)
+
+    def __eq__(self, other):
+        # A bit test shifts the whole int, so two views compare by their
+        # bits, not member by member.
+        if isinstance(other, ConfigSet):
+            return self._bits == other._bits
+        return Set.__eq__(self, other)
+
+    __hash__ = Set._hash
 
 
 def _equilibria(game: Game, base: int, free: int, players) -> list:

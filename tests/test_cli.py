@@ -99,10 +99,22 @@ def test_reach_hits_the_cap_before_allocating(source, tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [["analyze", "k3"], ["reach", "k3", "--all"]])
 def test_cap_is_not_an_option(argv, capsys):
+    code, out, err = run(capsys, *argv, "--cap", "40")
+    assert code == 1 and out == ""
+    assert "unrecognized arguments: --cap 40" in err
+
+
+def test_command_line_errors_exit_1_with_a_short_message(capsys):
+    code, out, err = run(capsys, "simulate", "pennies", "--runs", "abc")
+    assert code == 1 and out == ""
+    assert err == "error: argument --runs: invalid int value: 'abc'\n"
+    code, out, err = run(capsys, "simulate", "pennies", "--runs", "x" * 20_000)
+    assert code == 1 and out == ""
+    assert len(err.encode()) < 300
     with pytest.raises(SystemExit) as exc:
-        main([*argv, "--cap", "40"])
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --cap 40" in capsys.readouterr().err
+        main(["simulate", "--help"])
+    assert exc.value.code == 0
+    assert "--runs" in capsys.readouterr().out
 
 
 def test_readme_synopsis_names_every_option():
@@ -150,6 +162,59 @@ def test_reach_all_fig5_consensus(capsys):
     assert report["reached"] is True
     assert report["reachable_count"] == 2 ** 11
     assert report["trap_count"] == 0
+
+
+def _trapped_sources(game, target):
+    """Oracle: one depth-first search per source, pruned by the sources
+    already settled either way."""
+    good, bad = set(target), set()
+    for x0 in range(1 << game.n):
+        if x0 in good or x0 in bad:
+            continue
+        seen, stack, found = {x0}, [x0], False
+        while stack and not found:
+            for _, _, y in cg.br_transitions(game, stack.pop()):
+                if y in good:
+                    found = True
+                    break
+                if y not in seen and y not in bad:
+                    seen.add(y)
+                    stack.append(y)
+        if found:
+            good.add(x0)
+        else:
+            bad |= seen
+    return sorted(bad)
+
+
+def test_reach_all_truncates_the_trap_list_to_the_lowest_masks(tmp_path, capsys):
+    _, text, _ = run(
+        capsys, "gen", "--nodes", "12", "--edge-prob", "1/6", "--coord-frac", "1", "--seed", "1"
+    )
+    path = tmp_path / "traps.json"
+    path.write_text(text)
+    game = cg.load_game(str(path))
+    traps = _trapped_sources(game, cg.consensus_equilibria(game))
+    assert len(traps) == 864
+    report = run_json(capsys, "reach", str(path), "--all", "--target", "consensus")
+    assert report["trap_count"] == len(traps)
+    assert report["reachable_count"] == 2 ** 12 - len(traps)
+    assert report["trap_states_truncated"] is True
+    assert report["trap_states"] == [game.format_bits(x) for x in traps[:256]]
+
+
+def test_wildcard_sources_build_the_mover_sets_once(capsys, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1])
+        return builder(*args)
+
+    builder = cg.dynamics._best_response_sets
+    monkeypatch.setattr(cg.dynamics, "_best_response_sets", counted)
+    reports = run_json(capsys, "reach", "fig3", "--from", "1111**00**", "--target", "nash")
+    assert len(reports) == 16
+    assert sorted(calls) == list(range(cg.fixture("fig3").n))
 
 
 def test_simulate_pennies_never_absorbs(capsys):

@@ -1,7 +1,9 @@
 """Transitions, reachability, constructive paths, simulation."""
 
 import random
+import tracemalloc
 from collections import deque
+from collections.abc import MutableSet, Set
 from fractions import Fraction
 
 import pytest
@@ -266,6 +268,7 @@ def test_closure_matches_per_source_bfs(knife_edge_game):
         report = global_reachability(game, target)
         assert report.reachable_count == len(shortest)
         assert report.trap_states == frozenset(range(states)) - set(shortest)
+        assert hash(report.trap_states) == hash(frozenset(range(states)) - set(shortest))
         assert report.reached == (len(shortest) == states)
         if report.reached:
             validate_br_path(game, report.witness)
@@ -273,6 +276,40 @@ def test_closure_matches_per_source_bfs(knife_edge_game):
             assert len(report.witness) == shortest[0]
         else:
             assert report.witness is None
+
+
+def test_reports_hold_read_only_bitset_views(games):
+    fig3 = games["fig3"]
+    report = global_reachability(fig3, enumerate_nash(fig3))
+    closure = reachable_set(fig3, _fig3_trap_starts(fig3)[0])
+    assert global_reachability(fig3, enumerate_nash(fig3)).trap_states == report.trap_states
+    assert report.trap_states != closure
+    for view in (report.trap_states, closure):
+        members = frozenset(view)
+        assert isinstance(view, Set) and not isinstance(view, MutableSet)
+        assert list(view) == sorted(members) and len(view) == len(members)
+        assert view == members and hash(view) == hash(members)
+        for x in (-1, 1 << fig3.n, "0", True, min(members), max(members)):
+            assert (x in view) == (x in members)
+        other = {min(members), -1}
+        for result in (view & other, view | other, view - other, view ^ other, other - view):
+            assert type(result) is frozenset
+        assert view & other == {min(members)} and not view.isdisjoint(other)
+
+
+def test_backward_closure_peak_memory():
+    # 583,518 of the 2^20 configurations are traps; a Python set of them
+    # alone would take tens of megabytes.
+    game = cg.random_game(24, 20, Fraction(1, 10), coord_frac=1)
+    target = cg.consensus_equilibria(game)
+    tracemalloc.start()
+    try:
+        report = global_reachability(game, target)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(report.trap_states) == 583_518
+    assert peak < 16 << 20
 
 
 def test_backward_and_forward_reachability_agree():
