@@ -22,7 +22,8 @@ from .game import (
     ConfigSet,
     Game,
     _best_response_sets,
-    _check_cap,
+    _check_config,
+    _config_bits,
     _literals,
     _restless,
     is_nash,
@@ -99,7 +100,7 @@ def br_transitions(game: Game, x: int) -> list:
 def _movers(game: Game, backward: bool) -> list:
     """Per player k, the (up, down) pair of ``_closure``: the configurations
     where a move raises bit k, and where one lowers it.  Built once per game
-    and direction; the caller checks the cap first.
+    and direction.
     """
     movers = game._movers.get(backward)
     if movers is None:
@@ -165,29 +166,10 @@ def _walk(game: Game, layers, x: int, backward: bool) -> BRPath:
     return BRPath(tuple(steps), tuple(configs))
 
 
-def _check_config(game: Game, x, what: str) -> None:
-    if not isinstance(x, int) or not 0 <= x < 1 << game.n:
-        raise GameInputError(f"{what} configuration {x!r} is out of range")
-
-
-def _target_bits(game: Game, target: Iterable) -> int:
-    """The checked, non-empty ``target`` as a bitset over the full cube."""
-    data = bytearray(((1 << game.n) + 7) >> 3)
-    for t in target:
-        _check_config(game, t, "target")
-        data[t >> 3] |= 1 << (t & 7)
-    bits = int.from_bytes(data, "little")
-    if not bits:
-        raise GameInputError("target set must be non-empty")
-    return bits
-
-
 def reachable_set(game: Game, x0: int) -> ConfigSet:
     """Forward closure of one configuration under best-response moves, as a
     read-only set."""
-    _check_cap(game.n)
-    _check_config(game, x0, "source")
-    return ConfigSet(_closure(game, 1 << x0, backward=False)[0])
+    return ConfigSet(_closure(game, _config_bits(game, (x0,), "source"), backward=False)[0])
 
 
 @dataclass(frozen=True)
@@ -215,10 +197,8 @@ def reachability_from(game: Game, x0: int, target: Iterable) -> ReachabilityRepo
     from the closure's layers.  When the target cannot be reached, the whole
     forward closure is reported as trapped.
     """
-    _check_cap(game.n)  # before the target check, as in global_reachability
-    goal = _target_bits(game, target)
-    _check_config(game, x0, "source")
-    seen, layers = _closure(game, 1 << x0, backward=False)
+    goal = _config_bits(game, target, "target")
+    seen, layers = _closure(game, _config_bits(game, (x0,), "source"), backward=False)
     for layer in layers:
         hit = layer & goal
         if hit:
@@ -233,8 +213,7 @@ def global_reachability(game: Game, target: Iterable) -> ReachabilityReport:
     Works backward from the target.  When every configuration is reached,
     the witness is the path from configuration 0 read from the same closure.
     """
-    _check_cap(game.n)
-    seen, layers = _closure(game, _target_bits(game, target), backward=True)
+    seen, layers = _closure(game, _config_bits(game, target, "target"), backward=True)
     traps = seen ^ ((1 << (1 << game.n)) - 1)
     if traps:
         return ReachabilityReport("all", False, seen.bit_count(), ConfigSet(traps), None)

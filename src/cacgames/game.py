@@ -256,16 +256,25 @@ def _check_cap(players: int) -> None:
         )
 
 
-def _configurations(base: int, free: int):
-    """Every configuration that agrees with ``base`` outside the ``free``
-    bits, ascending.  ``base`` must have no bit inside ``free``.
+def _configurations(base: int, free: int, positions=None):
+    """The configurations that agree with ``base`` outside the ``free`` bits
+    and whose free bits, read in ascending order, spell each of the ascending
+    ``positions`` (default: all, so the whole sub-cube, ascending).  ``base``
+    must have no bit inside ``free``.
     """
-    sub = 0
-    while True:
-        yield base | sub
-        sub = (sub - free) & free
-        if not sub:
-            return
+    # Deposit each position into the free bits, one table per position byte.
+    tables = []
+    bits = [1 << j for j in range(free.bit_length()) if free >> j & 1]
+    for c in range(0, len(bits), 8):
+        table = [0]
+        for bit in bits[c:c + 8]:
+            table += [x | bit for x in table]
+        tables.append(table)
+    for p in range(1 << len(bits)) if positions is None else positions:
+        x = base
+        for c, table in enumerate(tables):
+            x |= table[p >> 8 * c & 255]
+        yield x
 
 
 # -- configuration sets as bitsets ----------------------------------------
@@ -279,9 +288,11 @@ def _configurations(base: int, free: int):
 def _literals(free: int) -> dict:
     """Free bit j -> the set of the sub-cube's configurations with bit j at 1.
 
+    Every scan makes its first cube-sized set here, so this checks the cap.
     Each literal is one block of its periodic pattern, doubled until it
     spans the cube.
     """
+    _check_cap(free.bit_count())
     width = 1 << free.bit_count()
     out, half = {}, 1
     for j in range(free.bit_length()):
@@ -346,10 +357,29 @@ def _best_response_sets(game: Game, k: int, base: int, literals: dict) -> tuple:
 _BYTE_BITS = tuple(tuple(b for b in range(8) if v >> b & 1) for v in range(256))
 
 
-def _positions(bits: int):
-    """The set bits of ``bits``, ascending, read one byte at a time (shifting
-    a big int once per member would be quadratic)."""
-    for i, byte in enumerate(bits.to_bytes((bits.bit_length() + 7) >> 3, "little")):
+def _check_config(game: Game, x, what: str) -> None:
+    if not isinstance(x, int) or not 0 <= x < 1 << game.n:
+        raise GameInputError(f"{what} configuration {x!r} is out of range")
+
+
+def _config_bits(game: Game, configs: Iterable, what: str) -> int:
+    """The checked, non-empty ``configs`` as a bitset over the full cube; the
+    cap is checked before the set is allocated."""
+    _check_cap(game.n)
+    data = bytearray(((1 << game.n) + 7) >> 3)
+    for x in configs:
+        _check_config(game, x, what)
+        data[x >> 3] |= 1 << (x & 7)
+    bits = int.from_bytes(data, "little")
+    if not bits:
+        raise GameInputError(f"{what} set must be non-empty")
+    return bits
+
+
+def _positions(data: bytes):
+    """The set bits of the little-endian bitset ``data``, ascending, read one
+    byte at a time (shifting a big int once per member would be quadratic)."""
+    for i, byte in enumerate(data):
         if byte:
             i <<= 3
             for b in _BYTE_BITS[byte]:
@@ -357,36 +387,38 @@ def _positions(bits: int):
 
 
 class ConfigSet(Set):
-    """A read-only set of configurations held as one full-cube bitset.
+    """A read-only set of configurations held as the bytes of one full-cube
+    bitset, so a membership test reads one byte.
 
     Compares and hashes equal to the ``frozenset`` of the same members;
     iteration is ascending, and set operators return a ``frozenset``.
     """
 
-    __slots__ = ("_bits",)
+    __slots__ = ("_data", "_len")
 
     def __init__(self, bits: int):
-        self._bits = bits
+        self._data = bits.to_bytes((bits.bit_length() + 7) >> 3, "little")
+        self._len = bits.bit_count()
 
     def __len__(self) -> int:
-        return self._bits.bit_count()
+        return self._len
 
     def __contains__(self, x) -> bool:
-        bits = self._bits
-        return isinstance(x, int) and 0 <= x < bits.bit_length() and bool(bits >> x & 1)
+        if not isinstance(x, int) or not 0 <= x >> 3 < len(self._data):
+            return False
+        return bool(self._data[x >> 3] >> (x & 7) & 1)
 
     def __iter__(self):
-        return _positions(self._bits)
+        return _positions(self._data)
 
     @classmethod
     def _from_iterable(cls, it) -> frozenset:
         return frozenset(it)
 
     def __eq__(self, other):
-        # A bit test shifts the whole int, so two views compare by their
-        # bits, not member by member.
+        # Two views compare their bytes, not member by member.
         if isinstance(other, ConfigSet):
-            return self._bits == other._bits
+            return self._data == other._data
         return Set.__eq__(self, other)
 
     __hash__ = Set._hash
@@ -395,9 +427,9 @@ class ConfigSet(Set):
 def _equilibria(game: Game, base: int, free: int, players) -> list:
     """The configurations of one sub-cube (see ``_configurations``) at which
     every one of ``players`` plays a best response, ascending.  The only
-    exhaustive equilibrium scan; it is capped by the number of ``free`` bits.
+    exhaustive equilibrium scan; ``_literals`` caps it by the number of
+    ``free`` bits.
     """
-    _check_cap(free.bit_count())
     literals = _literals(free)
     still = (1 << (1 << len(literals))) - 1
     for k in players:
@@ -408,21 +440,7 @@ def _equilibria(game: Game, base: int, free: int, players) -> list:
             still &= ones if base >> k & 1 else zeros
         if not still:
             return []
-    # Deposit each position into the free bits, one table per position byte.
-    tables = []
-    bits = [1 << j for j in literals]
-    for c in range(0, len(bits), 8):
-        table = [0]
-        for bit in bits[c:c + 8]:
-            table += [x | bit for x in table]
-        tables.append(table)
-    out = []
-    for p in _positions(still):
-        x = base
-        for c, table in enumerate(tables):
-            x |= table[p >> 8 * c & 255]
-        out.append(x)
-    return out
+    return list(_configurations(base, free, ConfigSet(still)))
 
 
 def enumerate_nash(game: Game) -> list:

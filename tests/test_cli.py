@@ -104,13 +104,19 @@ def test_cap_is_not_an_option(argv, capsys):
     assert "unrecognized arguments: --cap 40" in err
 
 
-def test_command_line_errors_exit_1_with_a_short_message(capsys):
+def test_command_line_errors_exit_1_with_a_short_message(tmp_path, capsys):
     code, out, err = run(capsys, "simulate", "pennies", "--runs", "abc")
     assert code == 1 and out == ""
     assert err == "error: argument --runs: invalid int value: 'abc'\n"
     code, out, err = run(capsys, "simulate", "pennies", "--runs", "x" * 20_000)
     assert code == 1 and out == ""
     assert len(err.encode()) < 300
+    game = cg.Game(cg.WeightedGraph(range(1, 18)), range(1, 18), "1/2")
+    path = tmp_path / "wide.json"
+    path.write_text(cg.serialize_game(game))
+    code, out, err = run(capsys, "reach", str(path), "--from", "*" * 17, "--target", "consensus")
+    assert code == 1 and out == ""
+    assert err == "error: too many wildcards (limit 16)\n"
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--help"])
     assert exc.value.code == 0

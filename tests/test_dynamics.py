@@ -1,5 +1,6 @@
 """Transitions, reachability, constructive paths, simulation."""
 
+import operator
 import random
 import tracemalloc
 from collections import deque
@@ -295,6 +296,14 @@ def test_reports_hold_read_only_bitset_views(games):
         for result in (view & other, view | other, view - other, view ^ other, other - view):
             assert type(result) is frozenset
         assert view & other == {min(members)} and not view.isdisjoint(other)
+    # View with view: the same answers as on their frozensets.
+    for v in (report.trap_states, closure):
+        for w in (report.trap_states, closure):
+            fv, fw = frozenset(v), frozenset(w)
+            assert (v <= w, v < w, v >= w) == (fv <= fw, fv < fw, fv >= fw)
+            assert v.isdisjoint(w) == fv.isdisjoint(fw)
+            for op in (operator.and_, operator.or_, operator.sub, operator.xor):
+                assert type(op(v, w)) is frozenset and op(v, w) == op(fv, fw)
 
 
 def test_backward_closure_peak_memory():
@@ -310,6 +319,33 @@ def test_backward_closure_peak_memory():
         tracemalloc.stop()
     assert len(report.trap_states) == 583_518
     assert peak < 16 << 20
+
+
+@pytest.mark.parametrize(
+    "scan",
+    [
+        enumerate_nash,
+        cg.consensus_equilibria,
+        lambda game: cg.RestrictedGame(game, "anticoordinating", 0).nash(),
+        lambda game: reachable_set(game, 0),
+        # an out-of-range target: the cap is checked before the target
+        lambda game: reachability_from(game, 0, [1 << game.n]),
+        lambda game: global_reachability(game, [0]),
+    ],
+    ids=["nash", "consensus", "restricted", "reachable-set", "from", "global"],
+)
+def test_size_cap_fires_before_allocation(scan):
+    # 24 edgeless anti-coordinating players: one set of 2^24 configurations
+    # takes 2 MB.
+    game = Game(WeightedGraph(range(24)), [], HALF)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeCapError):
+            scan(game)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 10
 
 
 def test_backward_and_forward_reachability_agree():

@@ -35,6 +35,8 @@ def test_threshold_must_be_strictly_inside_unit_interval():
     for bad in (0, 1, "5/4", "-1/2", Fraction(10**5000)):
         with pytest.raises(GameInputError):
             Game(g, {1}, bad)
+    with pytest.raises(GameInputError, match="missing threshold for node 2"):
+        Game(g, {1}, {1: HALF})
 
 
 def test_utility_values_on_pennies(games):
@@ -209,6 +211,8 @@ def test_consensus_equilibria_fixture_values(games):
     assert consensus_equilibria(fig3, action=1) == [x_star]
     assert consensus_equilibria(games["pennies"], action=0) == []
     assert consensus_equilibria(games["fig1"], action=1) != []
+    with pytest.raises(GameInputError, match="action must be 0, 1 or None, got 2"):
+        consensus_equilibria(fig3, action=2)
 
 
 def test_consensus_equilibria_subset_of_nash():
@@ -301,3 +305,7 @@ def test_configuration_helpers_round_trip(games):
     assert game.mask_of_actions(game.actions_of(mask)) == mask
     with pytest.raises(GameInputError):
         game.parse_bits("123")
+    with pytest.raises(GameInputError, match="configuration is missing player 10"):
+        game.mask_of_actions({v: 0 for v in range(1, 10)})
+    with pytest.raises(GameInputError, match="action of 1 must be 0 or 1, got 2"):
+        game.mask_of_actions({v: 2 for v in game.nodes})

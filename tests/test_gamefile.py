@@ -93,6 +93,12 @@ def _malformed_files():
         (_file([_node(1), _node(1)], []), "duplicate node id"),
         (_file(base, [{"u": [1], "v": 2, "weight": "1"}]), "edges[0]: unknown node [1]"),
         (_file(base, [{"u": 1, "v": {"a": 1}, "weight": "1"}]), "edges[0]: unknown node"),
+        ("[]", "top level must be an object"),
+        (_file([_node(None)], []), "nodes[0]: id must be an int or string"),
+        (_file([1], []), "nodes[0]: expected an object"),
+        (_file([{"id": 1, "role": "coordinating"}], []), "nodes[0]: missing field 'threshold'"),
+        (_file([_node(1, threshold=True)], []), "threshold of 1: expected a rational, got a boolean"),
+        (_file(base, [{"u": 1, "v": 2, "weight": None}]), "cannot interpret NoneType as a rational"),
         # json.dumps writes the lone surrogate as the escape "\ud800"
         (_file([_node(1), _node("a\ud800")], []), "nodes[1]: id holds a lone surrogate"),
         # Python limits recursion depth and integer digits; each text is
@@ -120,6 +126,7 @@ def test_cli_rejects_every_malformed_file_with_exit_1(tmp_path, capsys):
         assert main(["analyze", str(path)]) == 1, text
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error:"), text
+        assert captured.err.count("\n") == 1 and len(captured.err) < 200, text
 
 
 def test_cli_rejects_input_that_is_not_utf8(tmp_path, capsys, monkeypatch):

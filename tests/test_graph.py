@@ -42,6 +42,8 @@ def test_diagnostics_name_the_entry_position():
         WeightedGraph([1, 2, 1])
     with pytest.raises(GameInputError, match=r"nodes\[1\]: unhashable node id"):
         WeightedGraph([1, [2]])
+    with pytest.raises(GameInputError, match="node ids must be mutually orderable"):
+        WeightedGraph([1, "2"])
     with pytest.raises(GameInputError, match=r"edges\[2\]: self-loop at 3"):
         WeightedGraph([1, 2, 3], [(1, 2, 1), (2, 3, 1), (3, 3, 1)])
     with pytest.raises(GameInputError, match=r"edges\[1\]: expected \(u, v, weight\)"):

@@ -242,6 +242,12 @@ def test_predicates_share_the_game_threshold_check(games):
 def test_bad_mode_rejected(games):
     with pytest.raises(GameInputError):
         game_indecomposability(games["k3"], mode="loose")
+    with pytest.raises(GameInputError, match="side must name a role, got 'leaders'"):
+        RestrictedGame(games["k3"], "leaders", 0)
+    fig3 = games["fig3"]
+    anti = min(fig3.anticoordinating)
+    with pytest.raises(GameInputError, match=f"{anti} is not on the coordinating side"):
+        RestrictedGame(fig3, "coordinating", 0).modified_threshold(anti)
 
 
 # -- modified thresholds -------------------------------------------------
