@@ -373,52 +373,62 @@ def simulate(
         raise GameInputError("max_steps must be non-negative")
     _check_config(game, x0, "start")
     rng = random.Random(seed)
+    n, nbrw, sign = game.n, game._nbrw, game._sign
     x = x0
     configs = [x0]
     ticks = 0
+    # margin[k] is what player k gains by playing 1 rather than 0, on the
+    # game's integer scale, and margin[k] == 0 is an exact tie.  ``restless``
+    # holds the players with a positive gain, so x is an equilibrium exactly
+    # when it is empty.
+    margin = [
+        sign[k] * (sum(w for j, w in nbrw[k] if x >> j & 1) - game._thr_int[k])
+        for k in range(n)
+    ]
+
+    def gain(k: int) -> int:
+        """Player k's gain from switching away from its action in x."""
+        return -margin[k] if x >> k & 1 else margin[k]
+
+    restless = {k for k in range(n) if gain(k) > 0}
     # (state, player) pairs while the run is deterministic: round-robin's and
     # greedy's next pair is a function of the last, so a repeat is a cycle.
     seen = None if scheduler == "uniform-random" else set()
     while True:
-        if is_nash(game, x):
+        if not restless:
             status = "absorbed-at-NE"
             break
         if ticks >= max_steps:
             status = "step-cap"
             break
         if scheduler == "round-robin":
-            k = ticks % game.n
+            k = ticks % n
         elif scheduler == "uniform-random":
-            k = rng.randrange(game.n)
-        else:  # greedy-potential: biggest own improvement first
-            k = _greedy_pick(game, x)
+            k = rng.randrange(n)
+        else:  # greedy-potential: biggest own gain first, lowest index on ties
+            k = max(restless, key=lambda j: (gain(j), -j))
         if seen is not None:
             if (x, k) in seen:
                 status = "cycle-detected"
                 break
             seen.add((x, k))
         ticks += 1
-        bits = game._br_bits(k, x)
-        cur = x >> k & 1
-        if bits == 3:
+        if margin[k] == 0:
             seen = None
-            if rng.getrandbits(1):
-                x ^= 1 << k
-                configs.append(x)
-        elif not bits >> cur & 1:
-            x ^= 1 << k
-            configs.append(x)
+            if not rng.getrandbits(1):
+                continue
+        elif k not in restless:
+            continue
+        # Flip k: only its neighbours' margins move.  k's own margin stays
+        # and its gain changes sign, so it is at rest after the move.
+        x ^= 1 << k
+        configs.append(x)
+        restless.discard(k)
+        up = x >> k & 1
+        for j, w in nbrw[k]:
+            margin[j] += sign[j] * w if up else -sign[j] * w
+            if gain(j) > 0:
+                restless.add(j)
+            else:
+                restless.discard(j)
     return Trajectory(x0, tuple(configs), ticks, status, seed, scheduler)
-
-
-def _greedy_pick(game: Game, x: int) -> int:
-    """The restless player with the largest exact gain from switching, the
-    lowest index on ties.  Switching to 1 gains ``sign * (s - r * w)`` for
-    1-neighbor weight s, on the game's one integer scale."""
-    best_k, best_gain = None, 0
-    for k in range(game.n):
-        margin = sum(w for j, w in game._nbrw[k] if x >> j & 1) - game._thr_int[k]
-        gain = game._sign[k] * (-margin if x >> k & 1 else margin)
-        if gain > best_gain:
-            best_k, best_gain = k, gain
-    return best_k

@@ -428,6 +428,23 @@ PINNED_GENERATED_RUNS = {
     "--nodes 9 --seed 5 --coord-frac 1 --threshold 1/3": (0, "6d82927caa85badb29eb019d1a1899a38d15713455a9b2e1c0e6505ef382524b"),
 }
 
+# ``simulate -`` on the output of ``gen`` with the first arguments: games of 48
+# to 64 players that cycle, absorb, anti-coordinate only, or tie at r = 1/2.
+PINNED_SIMULATE_RUNS = {
+    ("--nodes 48 --edge-prob 1/8 --max-weight 5 --seed 1", "--scheduler round-robin --runs 12"): (0, "04aa8cd4d88f69f48abc3657b43180472c117ca871bc72448dea896ea52ef1a5"),
+    ("--nodes 48 --edge-prob 1/8 --max-weight 5 --seed 1", "--scheduler uniform-random --runs 12"): (0, "2c9259053bab0621bc3ca987f7a1c36b5fc66f5bc6fc8035bb70c0589ba8f003"),
+    ("--nodes 48 --edge-prob 1/8 --max-weight 5 --seed 1", "--scheduler greedy-potential --runs 12"): (0, "5b1ea64a71ebe190d1c94b745e0817bf12b94804f6df2b255582d8463a0f24f9"),
+    ("--nodes 56 --edge-prob 1/10 --coord-frac 1 --max-weight 5 --seed 3", "--scheduler round-robin --runs 12"): (0, "da0c0a1e1d29f52bafb5e047fac04548e473dc46d5cd078738804224a0c91988"),
+    ("--nodes 56 --edge-prob 1/10 --coord-frac 1 --max-weight 5 --seed 3", "--scheduler uniform-random --runs 12"): (0, "a82b14ccfb64154816466f6c3b2b598a19087163e012c8809c93532a742c2c01"),
+    ("--nodes 56 --edge-prob 1/10 --coord-frac 1 --max-weight 5 --seed 3", "--scheduler greedy-potential --runs 12"): (0, "df6e14c4301a228e6091b12b8f1c1bfeffcf0b8d93bdf14c3b56a44f101dea81"),
+    ("--nodes 64 --edge-prob 1/16 --coord-frac 0 --max-weight 5 --seed 4", "--scheduler round-robin --runs 12"): (0, "544c8f3520c70dbc0c2d7f807674dfa91db3675b4a844bb2d14e83db0d4a9796"),
+    ("--nodes 64 --edge-prob 1/16 --coord-frac 0 --max-weight 5 --seed 4", "--scheduler uniform-random --runs 12"): (0, "ce35369f2df2da90edbfe592a40a9c2a72ff0e1db7aaf87e4f91ed77bfeb73ba"),
+    ("--nodes 64 --edge-prob 1/16 --coord-frac 0 --max-weight 5 --seed 4", "--scheduler greedy-potential --runs 12"): (0, "c549b1ce7938253036b8b8d10d43667d4f757a7511a868191ecb0ecb9b46e6ab"),
+    ("--nodes 64 --edge-prob 1/8 --coord-frac 7/8 --threshold 1/2 --max-weight 5 --seed 9", "--scheduler round-robin --runs 12"): (0, "83c8a613a4426bc6192dc5c91a7054ace8f4348caf00f2944a97ea63159b9d9f"),
+    ("--nodes 64 --edge-prob 1/8 --coord-frac 7/8 --threshold 1/2 --max-weight 5 --seed 9", "--scheduler uniform-random --runs 12"): (0, "ad6dd088fb950ae06e322b50d82f5a2a8435d05c3e8d78c44231c17f240c41a7"),
+    ("--nodes 64 --edge-prob 1/8 --coord-frac 7/8 --threshold 1/2 --max-weight 5 --seed 9", "--scheduler greedy-potential --runs 12"): (0, "a186c0a734c0ff94546ac4f6ae4bd793979bd9948c0579d5c4c5174b9d621e00"),
+}
+
 
 def _stdout_digest(capsys, argv):
     code, out, _ = run(capsys, *argv)
@@ -445,3 +462,7 @@ def test_cli_output_matches_pinned_digests(capsys, monkeypatch):
         _, text, _ = run(capsys, "gen", *key.split())
         monkeypatch.setattr("sys.stdin", io.StringIO(text))
         assert _stdout_digest(capsys, ("analyze", "-")) == expected, key
+    for (gen, sim), expected in PINNED_SIMULATE_RUNS.items():
+        _, text, _ = run(capsys, "gen", *gen.split())
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        assert _stdout_digest(capsys, ("simulate", "-", *sim.split())) == expected, (gen, sim)

@@ -532,20 +532,84 @@ def _prime_weight_game(rng, n):
 
 
 def test_greedy_pick_is_the_argmax_of_utility_gains(knife_edge_game):
-    from cacgames.dynamics import _greedy_pick
-
     rng = random.Random(61)
     games = [knife_edge_game(rng, rng.randint(2, 10)) for _ in range(40)]
     games += [cg.random_game(rng, rng.randint(48, 64), max_weight=3) for _ in range(3)]
     games += [_prime_weight_game(rng, rng.randint(48, 64)) for _ in range(3)]
     checked = 0
     for game in games:
-        for _ in range(30):
-            x = rng.getrandbits(game.n)
-            if not is_nash(game, x):
+        for _ in range(6):
+            x0 = rng.getrandbits(game.n)
+            traj = simulate(game, x0, "greedy-potential", rng.randrange(100), 200)
+            for before, after in zip(traj.configs, traj.configs[1:]):
                 checked += 1
-                assert _greedy_pick(game, x) == _greedy_by_utility(game, x), x
+                assert 1 << _greedy_by_utility(game, before) == before ^ after, before
+            if traj.status == "absorbed-at-NE":
+                assert _greedy_by_utility(game, traj.configs[-1]) is None
     assert checked > 500
+
+
+def _simulate_by_rescan(game, x0, scheduler, seed, max_steps):
+    """``simulate`` as a full rescan per tick: ``is_nash`` for absorption,
+    ``_br_bits`` for the mover's best responses, and greedy's pick as the
+    argmax of ``utility`` gains."""
+    rng = random.Random(seed)
+    x = x0
+    configs = [x0]
+    ticks = 0
+    seen = None if scheduler == "uniform-random" else set()
+    while True:
+        if is_nash(game, x):
+            status = "absorbed-at-NE"
+            break
+        if ticks >= max_steps:
+            status = "step-cap"
+            break
+        if scheduler == "round-robin":
+            k = ticks % game.n
+        elif scheduler == "uniform-random":
+            k = rng.randrange(game.n)
+        else:
+            k = _greedy_by_utility(game, x)
+        if seen is not None:
+            if (x, k) in seen:
+                status = "cycle-detected"
+                break
+            seen.add((x, k))
+        ticks += 1
+        bits = game._br_bits(k, x)
+        cur = x >> k & 1
+        if bits == 3:
+            seen = None
+            if rng.getrandbits(1):
+                x ^= 1 << k
+                configs.append(x)
+        elif not bits >> cur & 1:
+            x ^= 1 << k
+            configs.append(x)
+    return cg.dynamics.Trajectory(x0, tuple(configs), ticks, status, seed, scheduler)
+
+
+def test_incremental_simulation_matches_a_full_rescan(knife_edge_game):
+    rng = random.Random(13)
+    games = [knife_edge_game(rng, rng.randint(1, 12)) for _ in range(30)]
+    games += [cg.random_game(rng, rng.randint(2, 64), rng.choice((HALF, Fraction(1, 8))),
+                             rng.choice((0, HALF, 1)), max_weight=5) for _ in range(12)]
+    games += [_prime_weight_game(rng, rng.randint(20, 64)) for _ in range(3)]
+    statuses = set()
+    ties = 0
+    for game in games:
+        for scheduler in cg.dynamics.SCHEDULERS:
+            for seed, max_steps in ((0, 0), (1, 3), (2, 400), (3, 2000)):
+                x0 = rng.getrandbits(game.n)
+                got = simulate(game, x0, scheduler, seed, max_steps)
+                assert got == _simulate_by_rescan(game, x0, scheduler, seed, max_steps), (
+                    game.n, scheduler, seed, max_steps)
+                statuses.add((scheduler, got.status))
+                for before, after in zip(got.configs, got.configs[1:]):
+                    ties += game._br_bits((before ^ after).bit_length() - 1, before) == 3
+    assert len(statuses) == 8  # every status under every scheduler that can give it
+    assert ties > 1000  # coin flips that switched a tied player
 
 
 def test_simulation_validates_inputs(games):
