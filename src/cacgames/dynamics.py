@@ -17,6 +17,7 @@ from .errors import (
     GuaranteeViolationError,
     PathValidationError,
     PreconditionError,
+    SizeCapError,
 )
 from .game import (
     ConfigSet,
@@ -25,13 +26,13 @@ from .game import (
     _check_config,
     _config_bits,
     _literals,
-    _restless,
-    is_nash,
 )
 from .rationals import shown
 from .structure import game_cohesiveness, game_indecomposability
 
 SCHEDULERS = ("round-robin", "uniform-random", "greedy-potential")
+# Largest step budget of one simulated run: a run keeps every state change.
+STEP_CAP = 10**6
 
 
 @dataclass(frozen=True)
@@ -224,16 +225,43 @@ def global_reachability(game: Game, target: Iterable) -> ReachabilityReport:
 # -- constructive path to a consensus equilibrium -----------------------
 
 
-def _tie_move(game: Game, x: int, side_idx, prefer_action: int) -> Optional[int]:
-    fallback = None
-    for k in side_idx:
-        cur = x >> k & 1
-        if game._br_bits(k, x) >> (1 - cur) & 1:
-            if 1 - cur == prefer_action:
-                return k
-            if fallback is None:
-                fallback = k
-    return fallback
+class _Play:
+    """The best-response state of one walk, kept up to date move by move.
+
+    ``margin[k]`` is what player k gains by playing 1 rather than 0 at ``x``,
+    on the game's integer scale, and ``margin[k] == 0`` is an exact tie.
+    ``restless`` holds the players with a positive gain, so ``x`` is an
+    equilibrium exactly when it is empty.  Only ``flip`` changes the state.
+    """
+
+    __slots__ = ("x", "margin", "restless", "_nbrw", "_sign")
+
+    def __init__(self, game: Game, x: int) -> None:
+        nbrw, sign = game._nbrw, game._sign
+        self.x, self._nbrw, self._sign = x, nbrw, sign
+        self.margin = [
+            sign[k] * (sum(w for j, w in nbrw[k] if x >> j & 1) - game._thr_int[k])
+            for k in range(game.n)
+        ]
+        self.restless = {k for k in range(game.n) if self.gain(k) > 0}
+
+    def gain(self, k: int) -> int:
+        """Player k's gain from switching away from its action in x."""
+        return -self.margin[k] if self.x >> k & 1 else self.margin[k]
+
+    def flip(self, k: int) -> None:
+        """Switch player k.  Only its neighbours' margins move; k's own
+        margin stays and its gain changes sign, so it is at rest after."""
+        self.x ^= 1 << k
+        margin, restless, sign = self.margin, self.restless, self._sign
+        restless.discard(k)
+        up = self.x >> k & 1
+        for j, w in self._nbrw[k]:
+            margin[j] += sign[j] * w if up else -sign[j] * w
+            if self.gain(j) > 0:
+                restless.add(j)
+            else:
+                restless.discard(j)
 
 
 def _consensus_value(game: Game, x: int) -> Optional[int]:
@@ -279,9 +307,9 @@ def construct_consensus_path(game: Game, x0: int, mode: str = "strict") -> BRPat
         )
     backed_action = 1 if coh_one else 0
 
+    play = _Play(game, x0)
     steps: list = []
     configs = [x0]
-    x = x0
 
     def violation(message: str) -> Exception:
         if mode == "strict":
@@ -290,46 +318,46 @@ def construct_consensus_path(game: Game, x0: int, mode: str = "strict") -> BRPat
             f"weak indecomposability does not guarantee a path from this start: {message}"
         )
 
-    def move(k: int, action: int) -> None:
-        nonlocal x
-        x = (x & ~(1 << k)) | (action << k)
-        steps.append((game.nodes[k], action))
-        configs.append(x)
+    def mover(side: int) -> Optional[int]:
+        """The lowest restless player on the side of sign ``side``."""
+        return min((k for k in play.restless if game._sign[k] == side), default=None)
+
+    def move(k: int) -> None:
+        play.flip(k)
+        steps.append((game.nodes[k], play.x >> k & 1))
+        configs.append(play.x)
 
     def coordinating_phase(prefer: int) -> None:
         # Walk until the coordinating side is both at consensus and free of
         # strictly improving moves.  Improving moves never need the
         # preference hint; tie moves do (and only occur in weak mode).
-        visited = {x}
+        visited = {play.x}
         while True:
-            k = _restless(game, x, game._coord_idx)
+            k = mover(1)
             if k is None:
-                if _consensus_value(game, x) is not None:
+                if _consensus_value(game, play.x) is not None:
                     return
-                k = _tie_move(game, x, game._coord_idx, prefer)
-            if k is None:
-                raise violation("no coordinating player can move toward consensus")
-            move(k, 1 - (x >> k & 1))
-            if x in visited:
+                # no coordinating player is restless, so the ones whose
+                # switch is a best response are exactly the tied ones
+                ties = [j for j in game._coord_idx if play.margin[j] == 0]
+                if not ties:
+                    raise violation("no coordinating player can move toward consensus")
+                k = next((j for j in ties if play.x >> j & 1 != prefer), ties[0])
+            move(k)
+            if play.x in visited:
                 raise violation("the coordinating phase revisited a configuration")
-            visited.add(x)
-
-    def anticoordinating_phase() -> None:
-        while True:
-            k = _restless(game, x, game._anti_idx)
-            if k is None:
-                return
-            move(k, 1 - (x >> k & 1))
+            visited.add(play.x)
 
     # The coordinating phase returns only at consensus and the second phase
     # moves no coordinating player, so a round always ends at consensus.
     prefer = backed_action
     for _ in range(2):
         coordinating_phase(prefer)
-        anticoordinating_phase()
-        if is_nash(game, x):
+        while (k := mover(-1)) is not None:
+            move(k)
+        if not play.restless:
             return BRPath(tuple(steps), tuple(configs))
-        prefer = 1 - _consensus_value(game, x)
+        prefer = 1 - _consensus_value(game, play.x)
     raise violation("the two-phase construction did not terminate at an equilibrium")
 
 
@@ -365,32 +393,22 @@ def simulate(
     An activated player switches to its unique best response; on an exact
     tie it keeps its current action with probability one half.  Cycles are
     only reported when the trajectory so far was provably deterministic
-    (round-robin or greedy scheduling with no randomized tie yet).
+    (round-robin or greedy scheduling with no randomized tie yet).  A
+    budget above ``STEP_CAP`` raises SizeCapError.
     """
     if scheduler not in SCHEDULERS:
         raise GameInputError(f"unknown scheduler {scheduler!r}; pick one of {SCHEDULERS}")
     if max_steps < 0:
         raise GameInputError("max_steps must be non-negative")
+    if max_steps > STEP_CAP:
+        raise SizeCapError(f"a budget of {max_steps} steps exceeds the cap of {STEP_CAP}")
     _check_config(game, x0, "start")
     rng = random.Random(seed)
-    n, nbrw, sign = game.n, game._nbrw, game._sign
-    x = x0
+    n = game.n
+    play = _Play(game, x0)
+    margin, restless, gain = play.margin, play.restless, play.gain
     configs = [x0]
     ticks = 0
-    # margin[k] is what player k gains by playing 1 rather than 0, on the
-    # game's integer scale, and margin[k] == 0 is an exact tie.  ``restless``
-    # holds the players with a positive gain, so x is an equilibrium exactly
-    # when it is empty.
-    margin = [
-        sign[k] * (sum(w for j, w in nbrw[k] if x >> j & 1) - game._thr_int[k])
-        for k in range(n)
-    ]
-
-    def gain(k: int) -> int:
-        """Player k's gain from switching away from its action in x."""
-        return -margin[k] if x >> k & 1 else margin[k]
-
-    restless = {k for k in range(n) if gain(k) > 0}
     # (state, player) pairs while the run is deterministic: round-robin's and
     # greedy's next pair is a function of the last, so a repeat is a cycle.
     seen = None if scheduler == "uniform-random" else set()
@@ -408,10 +426,10 @@ def simulate(
         else:  # greedy-potential: biggest own gain first, lowest index on ties
             k = max(restless, key=lambda j: (gain(j), -j))
         if seen is not None:
-            if (x, k) in seen:
+            if (play.x, k) in seen:
                 status = "cycle-detected"
                 break
-            seen.add((x, k))
+            seen.add((play.x, k))
         ticks += 1
         if margin[k] == 0:
             seen = None
@@ -419,16 +437,6 @@ def simulate(
                 continue
         elif k not in restless:
             continue
-        # Flip k: only its neighbours' margins move.  k's own margin stays
-        # and its gain changes sign, so it is at rest after the move.
-        x ^= 1 << k
-        configs.append(x)
-        restless.discard(k)
-        up = x >> k & 1
-        for j, w in nbrw[k]:
-            margin[j] += sign[j] * w if up else -sign[j] * w
-            if gain(j) > 0:
-                restless.add(j)
-            else:
-                restless.discard(j)
+        play.flip(k)
+        configs.append(play.x)
     return Trajectory(x0, tuple(configs), ticks, status, seed, scheduler)

@@ -235,18 +235,8 @@ def deviations(game: Game, x: int) -> list:
     return out
 
 
-def _restless(game: Game, x: int, players):
-    """First of the player indices ``players`` whose current action in ``x``
-    is not a best response, or None when all of them are at rest.
-    """
-    for k in players:
-        if not game._br_bits(k, x) >> (x >> k & 1) & 1:
-            return k
-    return None
-
-
 def is_nash(game: Game, x: int) -> bool:
-    return _restless(game, x, range(game.n)) is None
+    return all(game._br_bits(k, x) >> (x >> k & 1) & 1 for k in range(game.n))
 
 
 def _check_cap(players: int) -> None:

@@ -233,6 +233,14 @@ def test_simulate_pennies_never_absorbs(capsys):
     assert all(line["status"] != "absorbed-at-NE" for line in lines)
 
 
+def test_simulate_step_budget_over_the_cap_exits_2(capsys):
+    code, out, err = run(
+        capsys, "simulate", "pennies", "--max-steps", str(cg.dynamics.STEP_CAP + 1)
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 200
+
+
 def test_simulate_fig3_trap_pattern(capsys):
     code, out, err = run(
         capsys,

@@ -14,6 +14,7 @@ from cacgames import (
     BRPath,
     Game,
     GameInputError,
+    GuaranteeViolationError,
     PathValidationError,
     PreconditionError,
     SizeCapError,
@@ -432,6 +433,112 @@ def test_path_phases_raise_the_matching_potential():
                 assert anticoordination_potential(game, after) > anticoordination_potential(game, before)
 
 
+def _consensus_path_by_rescan(game, x0, mode):
+    """``construct_consensus_path`` as a full rescan per move: the first
+    player of the active side whose action is not a best response by
+    ``_br_bits``, the first tied coordinating player whose switch reaches
+    the preferred consensus (else the first tied one), and ``is_nash`` at
+    the end of each round."""
+    coh_one = cg.game_cohesiveness(game, toward=1).holds
+    if not (coh_one or cg.game_cohesiveness(game, toward=0).holds):
+        raise PreconditionError("the coordinating set is not cohesive in either direction")
+    indec = cg.game_indecomposability(game, mode=mode)
+    if not indec.holds:
+        w = indec.witness
+        raise PreconditionError(
+            f"the coordinating set is decomposable ({mode} mode): "
+            f"parts {sorted(w.part0)} / {sorted(w.part1)}"
+        )
+
+    def violation(message):
+        if mode == "strict":
+            return GuaranteeViolationError(message)
+        return PreconditionError(
+            f"weak indecomposability does not guarantee a path from this start: {message}"
+        )
+
+    def restless(players):
+        return next((k for k in players if not game._br_bits(k, x) >> (x >> k & 1) & 1), None)
+
+    coord = [k for k in range(game.n) if game.coord_mask >> k & 1]
+    anti = [k for k in range(game.n) if not game.coord_mask >> k & 1]
+    x, steps, configs = x0, [], [x0]
+    prefer = 1 if coh_one else 0
+    for _ in range(2):
+        visited = {x}
+        while True:
+            k = restless(coord)
+            if k is None:
+                if x & game.coord_mask in (0, game.coord_mask):
+                    break
+                # no coordinating player is restless, so a switch that is a
+                # best response is an exact tie
+                ties = [j for j in coord if game._br_bits(j, x) >> (1 - (x >> j & 1)) & 1]
+                if not ties:
+                    raise violation("no coordinating player can move toward consensus")
+                toward = [j for j in ties if 1 - (x >> j & 1) == prefer]
+                k = toward[0] if toward else ties[0]
+            x ^= 1 << k
+            steps.append((game.nodes[k], x >> k & 1))
+            configs.append(x)
+            if x in visited:
+                raise violation("the coordinating phase revisited a configuration")
+            visited.add(x)
+        while (k := restless(anti)) is not None:
+            x ^= 1 << k
+            steps.append((game.nodes[k], x >> k & 1))
+            configs.append(x)
+        if is_nash(game, x):
+            return BRPath(tuple(steps), tuple(configs))
+        prefer = 0 if x & game.coord_mask else 1
+    raise violation("the two-phase construction did not terminate at an equilibrium")
+
+
+def _clique_with_chain(rng, m, n):
+    """K_m of coordinating players at r = 1/10 with a chain of n - m
+    anti-coordinating players at r = 1/2 hanging off member 1, chain
+    weights 1 to 3."""
+    ids = range(1, n + 1)
+    edges = [(u, v, 1) for u in range(1, m + 1) for v in range(u + 1, m + 1)]
+    edges += [(1, m + 1, 1)] + [(u, u + 1, rng.randint(1, 3)) for u in range(m + 1, n)]
+    thresholds = {v: Fraction(1, 10) if v <= m else HALF for v in ids}
+    return Game(WeightedGraph(ids, edges), range(1, m + 1), thresholds)
+
+
+def test_consensus_path_matches_the_rescan_construction(knife_edge_game):
+    rng = random.Random(67)
+    games = [knife_edge_game(rng, rng.randint(1, 14)) for _ in range(200)]
+    # uniform thresholds of 1/2 with small weights give the tie moves whose
+    # switch leaves the preferred consensus
+    games += [cg.random_game(rng, rng.randint(1, 14), rng.choice((HALF, Fraction(1, 4))),
+                             rng.choice((HALF, Fraction(3, 4), 1)),
+                             threshold=rng.choice(("random", HALF)), max_weight=rng.randint(1, 3))
+              for _ in range(400)]
+    chains = [_clique_with_chain(rng, m, 64) for m in (16, 14, 12)]
+    paths = chain_paths = ties = construction_failures = 0
+    for game, runs in [(game, 3) for game in games] + [(game, 20) for game in chains]:
+        starts = [rng.getrandbits(game.n) for _ in range(runs)]
+        for mode in ("strict", "weak"):
+            for x0 in starts:
+                try:
+                    want = _consensus_path_by_rescan(game, x0, mode)
+                except (PreconditionError, GuaranteeViolationError) as exc:
+                    with pytest.raises(type(exc)) as got:
+                        construct_consensus_path(game, x0, mode)
+                    assert type(got.value) is type(exc) and str(got.value) == str(exc)
+                    construction_failures += str(exc).startswith("weak indecomposability")
+                    continue
+                assert construct_consensus_path(game, x0, mode) == want, (game.n, x0, mode)
+                paths += 1
+                chain_paths += runs == 20
+                ties += sum(
+                    game._br_bits(game.graph.index(v), before) == 3
+                    for (v, _), before in zip(want.steps, want.configs)
+                )
+    assert chain_paths == 3 * 2 * 20  # both modes succeed from every chain start
+    assert paths > 500 and ties > 0 and construction_failures > 0
+
+
 # -- path validation -----------------------------------------------------------
 
 
@@ -617,6 +724,10 @@ def test_simulation_validates_inputs(games):
         simulate(games["pennies"], 0, scheduler="alphabetical")
     with pytest.raises(GameInputError):
         simulate(games["pennies"], 0, max_steps=-1)
+    with pytest.raises(SizeCapError, match="cap"):
+        simulate(games["pennies"], 0, max_steps=cg.dynamics.STEP_CAP + 1)
+    k3 = games["k3"]
+    assert simulate(k3, k3.parse_bits("001"), max_steps=cg.dynamics.STEP_CAP).status == "absorbed-at-NE"
 
 
 def test_zero_step_budget_reports_cap_unless_already_stable(games):
