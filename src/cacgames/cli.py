@@ -16,6 +16,7 @@ import sys
 from itertools import islice
 
 from .dynamics import (
+    _check_run,
     construct_consensus_path,
     global_reachability,
     reachability_from,
@@ -212,6 +213,7 @@ def cmd_simulate(args) -> int:
     game = _resolve_game(args.game, r=args.r)
     if args.runs < 0:
         raise GameInputError("--runs must be non-negative")
+    _check_run(args.scheduler, args.max_steps)
     if args.from_ is not None:
         starts = _parse_pattern(game, args.from_)
     else:
@@ -219,7 +221,7 @@ def cmd_simulate(args) -> int:
     for run in range(args.runs):
         seed = args.seed + run
         if starts is None:
-            x0 = random.Random(seed).getrandbits(game.n) if game.n else 0
+            x0 = random.Random(seed).getrandbits(game.n)
         else:
             x0 = starts[run % len(starts)]
         traj = simulate(

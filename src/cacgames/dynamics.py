@@ -9,8 +9,7 @@ keeps only the state-changing moves.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .errors import (
     GameInputError,
@@ -35,13 +34,13 @@ SCHEDULERS = ("round-robin", "uniform-random", "greedy-potential")
 STEP_CAP = 10**6
 
 
-@dataclass(frozen=True)
-class BRPath:
+class BRPath(NamedTuple):
     """A validated-by-construction sequence of single-player updates.
 
     ``configs`` has one more entry than ``steps``; step k moves player
     ``steps[k][0]`` to action ``steps[k][1]`` between ``configs[k]`` and
-    ``configs[k+1]``.
+    ``configs[k+1]``.  ``len`` counts steps, not fields, so the tuple
+    helpers ``_make`` and ``_replace`` do not apply; build a new path.
     """
 
     steps: tuple
@@ -173,8 +172,7 @@ def reachable_set(game: Game, x0: int) -> ConfigSet:
     return ConfigSet(_closure(game, _config_bits(game, (x0,), "source"), backward=False)[0])
 
 
-@dataclass(frozen=True)
-class ReachabilityReport:
+class ReachabilityReport(NamedTuple):
     """Result of a reachability query.
 
     ``source`` is a configuration mask or "all".  For a single source,
@@ -364,8 +362,7 @@ def construct_consensus_path(game: Game, x0: int, mode: str = "strict") -> BRPat
 # -- stochastic simulation ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(NamedTuple):
     """One simulated run of asynchronous best-response updates.
 
     ``configs`` records the start and every state change; ``activations``
@@ -378,6 +375,16 @@ class Trajectory:
     status: str
     seed: int
     scheduler: str
+
+
+def _check_run(scheduler: str, max_steps: int) -> None:
+    """The run settings ``simulate`` accepts, checked before any run."""
+    if scheduler not in SCHEDULERS:
+        raise GameInputError(f"unknown scheduler {scheduler!r}; pick one of {SCHEDULERS}")
+    if max_steps < 0:
+        raise GameInputError("max_steps must be non-negative")
+    if max_steps > STEP_CAP:
+        raise SizeCapError(f"a budget of {max_steps} steps exceeds the cap of {STEP_CAP}")
 
 
 def simulate(
@@ -396,12 +403,7 @@ def simulate(
     (round-robin or greedy scheduling with no randomized tie yet).  A
     budget above ``STEP_CAP`` raises SizeCapError.
     """
-    if scheduler not in SCHEDULERS:
-        raise GameInputError(f"unknown scheduler {scheduler!r}; pick one of {SCHEDULERS}")
-    if max_steps < 0:
-        raise GameInputError("max_steps must be non-negative")
-    if max_steps > STEP_CAP:
-        raise SizeCapError(f"a budget of {max_steps} steps exceeds the cap of {STEP_CAP}")
+    _check_run(scheduler, max_steps)
     _check_config(game, x0, "start")
     rng = random.Random(seed)
     n = game.n

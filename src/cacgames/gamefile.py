@@ -23,7 +23,6 @@ from __future__ import annotations
 import json
 import re
 import sys
-from pathlib import Path
 from typing import Optional
 
 from .errors import GameInputError
@@ -87,7 +86,11 @@ def _fields(where: str, entry, names) -> tuple:
 def load_game(path: str) -> Game:
     """Parse a game file from disk ('-' reads standard input)."""
     try:
-        text = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, encoding="utf-8") as f:
+                text = f.read()
         text.encode("utf-8")  # standard input may decode bad bytes to lone surrogates
     except OSError as exc:
         raise GameInputError(f"cannot read {shown(path)}: {exc.strerror}") from None

@@ -16,9 +16,8 @@ exact potential functions that make one-side dynamics monotone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .errors import DegenerateNodeError, GameInputError, SizeCapError
 from .game import Game, _equilibria, _threshold_map
@@ -32,8 +31,7 @@ from .rationals import shown
 PARTITION_NODE_CAP = 1 << 24
 
 
-@dataclass(frozen=True)
-class CohesivenessReport:
+class CohesivenessReport(NamedTuple):
     """Outcome of a cohesiveness check.
 
     ``violators`` holds (node, inside weight, required weight) triples; the
@@ -64,8 +62,7 @@ def cohesiveness(graph: WeightedGraph, members: Iterable, thresholds) -> Cohesiv
     return CohesivenessReport(holds=not violators, violators=tuple(violators))
 
 
-@dataclass(frozen=True)
-class PartitionWitness:
+class PartitionWitness(NamedTuple):
     """A labeled split of the coordinating set.
 
     With ``certifying_player`` set, that player violates the cohesiveness of
@@ -80,8 +77,7 @@ class PartitionWitness:
     condition: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class IndecomposabilityReport:
+class IndecomposabilityReport(NamedTuple):
     """Outcome of an indecomposability check.
 
     ``partitions_checked`` counts the search nodes visited: every member
@@ -110,7 +106,6 @@ class _PartitionScan:
     def __init__(self, graph: WeightedGraph, members: Iterable, thresholds, mode: str):
         if mode not in ("strict", "weak"):
             raise GameInputError(f"mode must be 'strict' or 'weak', got {mode!r}")
-        self.mode = mode
         self.members = graph.members_of(graph.mask_of(members))
         th = _threshold_map(self.members, thresholds)
         m = len(self.members)
@@ -275,7 +270,6 @@ def game_indecomposability(game: Game, mode: str = "strict") -> Indecomposabilit
 # -- restricted games ---------------------------------------------------
 
 
-@dataclass(frozen=True)
 class RestrictedGame:
     """One side of a game with the other side frozen.
 
@@ -284,13 +278,12 @@ class RestrictedGame:
     opposite side's bits are read.
     """
 
-    game: Game
-    side: str
-    fixed: int
+    __slots__ = ("game", "side", "fixed")
 
-    def __post_init__(self):
-        if self.side not in ("coordinating", "anticoordinating"):
-            raise GameInputError(f"side must name a role, got {self.side!r}")
+    def __init__(self, game: Game, side: str, fixed: int) -> None:
+        if side not in ("coordinating", "anticoordinating"):
+            raise GameInputError(f"side must name a role, got {side!r}")
+        self.game, self.side, self.fixed = game, side, fixed
 
     @property
     def moving(self) -> frozenset:

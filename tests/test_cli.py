@@ -3,7 +3,10 @@
 import argparse
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -234,11 +237,36 @@ def test_simulate_pennies_never_absorbs(capsys):
 
 
 def test_simulate_step_budget_over_the_cap_exits_2(capsys):
-    code, out, err = run(
-        capsys, "simulate", "pennies", "--max-steps", str(cg.dynamics.STEP_CAP + 1)
+    # the budget is checked before the first run, so --runs 0 refuses it too
+    for runs in ("1", "0"):
+        code, out, err = run(
+            capsys, "simulate", "pennies", "--max-steps", str(cg.dynamics.STEP_CAP + 1),
+            "--runs", runs,
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 200
+
+
+def test_simulate_negative_budget_exits_1_with_no_runs(capsys):
+    code, out, err = run(capsys, "simulate", "pennies", "--runs", "0", "--max-steps", "-1")
+    assert code == 1 and out == "" and "must be non-negative" in err
+
+
+def test_cli_import_loads_neither_dataclasses_nor_pathlib():
+    # -S keeps site and its .pth files out of the module list
+    probe = (
+        "import sys, cacgames.cli; "
+        "print(sorted({'dataclasses', 'pathlib'} & sys.modules.keys()))"
     )
-    assert code == 2 and out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 200
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout == "[]\n"
 
 
 def test_simulate_fig3_trap_pattern(capsys):
