@@ -179,7 +179,8 @@ class ReachabilityReport(NamedTuple):
     ``reachable_count`` is the size of its forward closure; for "all" it is
     the number of configurations from which the target can be reached.
     ``trap_states`` is a read-only set, ascending when iterated.
-    ``witness`` is present exactly when the target was reached.
+    ``witness`` is present, and the report is true, exactly when the target
+    was reached.
     """
 
     source: object
@@ -187,6 +188,9 @@ class ReachabilityReport(NamedTuple):
     reachable_count: int
     trap_states: ConfigSet
     witness: Optional[BRPath]
+
+    def __bool__(self) -> bool:
+        return self.reached
 
 
 def reachability_from(game: Game, x0: int, target: Iterable) -> ReachabilityReport:
@@ -226,37 +230,39 @@ def global_reachability(game: Game, target: Iterable) -> ReachabilityReport:
 class _Play:
     """The best-response state of one walk, kept up to date move by move.
 
-    ``margin[k]`` is what player k gains by playing 1 rather than 0 at ``x``,
-    on the game's integer scale, and ``margin[k] == 0`` is an exact tie.
-    ``restless`` holds the players with a positive gain, so ``x`` is an
-    equilibrium exactly when it is empty.  Only ``flip`` changes the state.
+    ``gain[k]`` is what player k gains by switching its action in ``x``, on
+    the game's integer scale; ``gain[k] == 0`` is an exact tie.  ``restless``
+    holds the players with a positive gain, so ``x`` is an equilibrium exactly
+    when it is empty.  Only ``flip`` changes the state.
     """
 
-    __slots__ = ("x", "margin", "restless", "_nbrw", "_sign")
+    __slots__ = ("x", "gain", "restless", "_nbrsw")
 
     def __init__(self, game: Game, x: int) -> None:
-        nbrw, sign = game._nbrw, game._sign
-        self.x, self._nbrw, self._sign = x, nbrw, sign
-        self.margin = [
-            sign[k] * (sum(w for j, w in nbrw[k] if x >> j & 1) - game._thr_int[k])
-            for k in range(game.n)
-        ]
-        self.restless = {k for k in range(game.n) if self.gain(k) > 0}
-
-    def gain(self, k: int) -> int:
-        """Player k's gain from switching away from its action in x."""
-        return -self.margin[k] if self.x >> k & 1 else self.margin[k]
+        self.x, self._nbrsw = x, game._nbrsw
+        # Margins (gain of playing 1 over 0): at the all-zero state, then one
+        # row per player at 1; a player at 1 gains the negated margin.
+        self.gain = gain = [-s * t for s, t in zip(game._sign, game._thr_int)]
+        ones = [k for k in range(game.n) if x >> k & 1]
+        for j in ones:
+            for k, sw in game._nbrsw[j]:
+                gain[k] += sw
+        for k in ones:
+            gain[k] = -gain[k]
+        self.restless = {k for k, g in enumerate(gain) if g > 0}
 
     def flip(self, k: int) -> None:
-        """Switch player k.  Only its neighbours' margins move; k's own
-        margin stays and its gain changes sign, so it is at rest after."""
-        self.x ^= 1 << k
-        margin, restless, sign = self.margin, self.restless, self._sign
+        """Switch player k, whose gain is not negative.  Only its neighbours'
+        gains move; k's own gain changes sign, so it is at rest after."""
+        self.x = x = self.x ^ 1 << k
+        gain, restless = self.gain, self.restless
+        gain[k] = -gain[k]
         restless.discard(k)
-        up = self.x >> k & 1
-        for j, w in self._nbrw[k]:
-            margin[j] += sign[j] * w if up else -sign[j] * w
-            if self.gain(j) > 0:
+        # Neighbour j gains sign_j * w when its bit differs from k's new one.
+        differs = ~x if x >> k & 1 else x
+        for j, sw in self._nbrsw[k]:
+            g = gain[j] = gain[j] + sw if differs >> j & 1 else gain[j] - sw
+            if g > 0:
                 restless.add(j)
             else:
                 restless.discard(j)
@@ -337,7 +343,7 @@ def construct_consensus_path(game: Game, x0: int, mode: str = "strict") -> BRPat
                     return
                 # no coordinating player is restless, so the ones whose
                 # switch is a best response are exactly the tied ones
-                ties = [j for j in game._coord_idx if play.margin[j] == 0]
+                ties = [j for j in game._coord_idx if play.gain[j] == 0]
                 if not ties:
                     raise violation("no coordinating player can move toward consensus")
                 k = next((j for j in ties if play.x >> j & 1 != prefer), ties[0])
@@ -366,7 +372,8 @@ class Trajectory(NamedTuple):
     """One simulated run of asynchronous best-response updates.
 
     ``configs`` records the start and every state change; ``activations``
-    counts scheduler ticks including the ones that changed nothing.
+    counts scheduler ticks including the ones that changed nothing.  It has
+    no truth value of its own: like any non-empty tuple it is always true.
     """
 
     start: int
@@ -405,15 +412,18 @@ def simulate(
     """
     _check_run(scheduler, max_steps)
     _check_config(game, x0, "start")
-    rng = random.Random(seed)
+    getrandbits = random.Random(seed).getrandbits
     n = game.n
+    width = n.bit_length()
+    round_robin = scheduler == "round-robin"
+    uniform = scheduler == "uniform-random"
     play = _Play(game, x0)
-    margin, restless, gain = play.margin, play.restless, play.gain
+    gain, restless, flip = play.gain, play.restless, play.flip
     configs = [x0]
     ticks = 0
     # (state, player) pairs while the run is deterministic: round-robin's and
     # greedy's next pair is a function of the last, so a repeat is a cycle.
-    seen = None if scheduler == "uniform-random" else set()
+    seen = None if uniform else set()
     while True:
         if not restless:
             status = "absorbed-at-NE"
@@ -421,24 +431,30 @@ def simulate(
         if ticks >= max_steps:
             status = "step-cap"
             break
-        if scheduler == "round-robin":
+        if round_robin:
             k = ticks % n
-        elif scheduler == "uniform-random":
-            k = rng.randrange(n)
+        elif uniform:
+            # Random.randrange(n) as CPython 3.10-3.12 draws it, inlined
+            k = getrandbits(width)
+            while k >= n:
+                k = getrandbits(width)
         else:  # greedy-potential: biggest own gain first, lowest index on ties
-            k = max(restless, key=lambda j: (gain(j), -j))
+            k, top = -1, 0
+            for j in restless:
+                if gain[j] > top or gain[j] == top and j < k:
+                    k, top = j, gain[j]
         if seen is not None:
             if (play.x, k) in seen:
                 status = "cycle-detected"
                 break
             seen.add((play.x, k))
         ticks += 1
-        if margin[k] == 0:
+        if gain[k] == 0:
             seen = None
-            if not rng.getrandbits(1):
+            if not getrandbits(1):
                 continue
         elif k not in restless:
             continue
-        play.flip(k)
+        flip(k)
         configs.append(play.x)
     return Trajectory(x0, tuple(configs), ticks, status, seed, scheduler)

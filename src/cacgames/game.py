@@ -79,18 +79,20 @@ class Game:
         # Per-index tables.  One integer scale for the whole game clears every
         # edge weight and r_i * w_i: both ends of an edge carry one integer,
         # margins compare, and a sum divided by _scale is exact again.
-        self._sign = [1 if self.coord_mask >> k & 1 else -1 for k in range(n)]
-        rows = [
-            tuple((graph.index(u), graph.weight(v, u)) for u in graph.neighbors(v))
-            for v in nodes
-        ]
+        self._sign = sign = [1 if self.coord_mask >> k & 1 else -1 for k in range(n)]
+        rows = [sorted((graph._index[u], w) for u, w in graph._adj[v].items()) for v in nodes]
         totals = [self.thresholds[v] * graph.degree(v) for v in nodes]
         self._scale = scale = math.lcm(
             *(t.denominator for t in totals),
             *(w.denominator for row in rows for _, w in row),
         )
-        self._nbrw = [tuple((j, int(w * scale)) for j, w in row) for row in rows]
-        self._thr_int = [int(t * scale) for t in totals]   # r_i * w_i, scaled
+        self._nbrw = [
+            tuple((j, w.numerator * (scale // w.denominator)) for j, w in row) for row in rows
+        ]
+        self._thr_int = [t.numerator * (scale // t.denominator) for t in totals]  # r_i * w_i, scaled
+        # Per player k, (j, sign_j * w_kj): what k at 1 adds to neighbour j's
+        # margin, so also what k's switch moves j's gain by.
+        self._nbrsw = [tuple((j, sign[j] * w) for j, w in row) for row in self._nbrw]
 
         self._coord_idx = tuple(k for k in range(n) if self._sign[k] > 0)
         self._anti_idx = tuple(k for k in range(n) if self._sign[k] < 0)
@@ -141,7 +143,7 @@ class Game:
         return mask
 
     def format_bits(self, mask: int) -> str:
-        return "".join("1" if mask >> k & 1 else "0" for k in range(self.n))
+        return format(mask, f"0{self.n}b")[::-1] if self.n else ""
 
     # -- utilities and best responses --------------------------------------
 

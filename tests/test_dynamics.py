@@ -135,6 +135,15 @@ def test_fig3_equilibria_not_globally_reachable(games):
     assert set(_fig3_trap_starts(fig3)) <= report.trap_states
 
 
+def test_reachability_reports_are_true_exactly_when_reached(games):
+    fig3, k3 = games["fig3"], games["k3"]
+    nash = enumerate_nash(fig3)
+    assert not global_reachability(fig3, nash)
+    assert not reachability_from(fig3, _fig3_trap_starts(fig3)[0], nash)
+    assert global_reachability(k3, enumerate_nash(k3))
+    assert reachability_from(k3, 0, enumerate_nash(k3))
+
+
 def test_fig5_consensus_set_globally_reachable(games):
     fig5 = games["fig5"]
     target = cg.consensus_equilibria(fig5)
@@ -636,6 +645,70 @@ def _prime_weight_game(rng, n):
     ]
     thresholds = {v: cg.generate.random_threshold(rng) for v in ids}
     return Game(WeightedGraph(ids, edges), [v for v in ids if rng.random() < 0.7], thresholds)
+
+
+def _table_games(rng, knife_edge_game):
+    """Knife-edge, prime-weight and random games of up to 64 players."""
+    games = [knife_edge_game(rng, rng.randint(1, 10)) for _ in range(20)]
+    games += [_prime_weight_game(rng, rng.randint(20, 64)) for _ in range(3)]
+    games += [cg.random_game(rng, rng.randint(2, 64), Fraction(1, 8), max_weight=5)
+              for _ in range(5)]
+    return games
+
+
+def test_integer_tables_match_the_fraction_products(knife_edge_game):
+    rng = random.Random(5)
+    for game in _table_games(rng, knife_edge_game):
+        graph, scale = game.graph, game._scale
+        assert game._nbrw == [
+            tuple((graph.index(u), int(graph.weight(v, u) * scale)) for u in graph.neighbors(v))
+            for v in game.nodes
+        ]
+        assert game._thr_int == [
+            int(game.thresholds[v] * graph.degree(v) * scale) for v in game.nodes
+        ]
+
+
+def test_play_gains_match_the_best_responses(knife_edge_game):
+    rng = random.Random(23)
+    for game in _table_games(rng, knife_edge_game):
+        for x in [0, (1 << game.n) - 1] + [rng.getrandbits(game.n) for _ in range(10)]:
+            play = cg.dynamics._Play(game, x)
+            for k in range(game.n):
+                code = game._br_bits(k, x)
+                assert (play.gain[k] > 0) == (not code >> (x >> k & 1) & 1), (game.n, x, k)
+                assert (play.gain[k] == 0) == (code == 3), (game.n, x, k)
+            assert play.restless == {k for k in range(game.n) if play.gain[k] > 0}
+
+
+def test_flips_keep_the_gains_of_a_fresh_start(knife_edge_game):
+    rng = random.Random(29)
+    moves = 0
+    for game in _table_games(rng, knife_edge_game):
+        play = cg.dynamics._Play(game, rng.getrandbits(game.n))
+        for _ in range(200):
+            movable = [k for k in range(game.n) if play.gain[k] >= 0]
+            if not movable:
+                break
+            play.flip(rng.choice(movable))
+            moves += 1
+            fresh = cg.dynamics._Play(game, play.x)
+            assert (play.gain, play.restless) == (fresh.gain, fresh.restless)
+    assert moves > 1000
+
+
+def test_uniform_draw_is_randrange():
+    # simulate draws its uniform-random mover as getrandbits(n.bit_length())
+    # until the draw is below n: CPython's randrange(n) on Python 3.10-3.12.
+    for n in range(1, 65):
+        for seed in range(20):
+            expected = random.Random(seed)
+            rng = random.Random(seed)
+            for _ in range(10):
+                k = rng.getrandbits(n.bit_length())
+                while k >= n:
+                    k = rng.getrandbits(n.bit_length())
+                assert k == expected.randrange(n), (n, seed)
 
 
 def test_greedy_pick_is_the_argmax_of_utility_gains(knife_edge_game):

@@ -298,6 +298,17 @@ def test_consensus_scan_is_capped_by_the_enumerated_players():
     assert all(is_nash(game, x) for x in ones + zeros)
 
 
+def test_format_bits_matches_the_per_bit_definition():
+    rng = random.Random(17)
+    for n in range(65):
+        game = Game(WeightedGraph(range(n)), [], HALF)
+        masks = [0, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(20)]
+        for mask in masks:
+            expected = "".join("1" if mask >> k & 1 else "0" for k in range(n))
+            assert game.format_bits(mask) == expected, (n, mask)
+            assert game.parse_bits(expected) == mask
+
+
 def test_configuration_helpers_round_trip(games):
     game = games["fig3"]
     mask = game.parse_bits("1111000010")
