@@ -18,14 +18,7 @@ from .errors import (
     PreconditionError,
     SizeCapError,
 )
-from .game import (
-    ConfigSet,
-    Game,
-    _best_response_sets,
-    _check_config,
-    _config_bits,
-    _literals,
-)
+from .game import ConfigSet, Game, _check_config, _config_bits, _cube, _stay
 from .rationals import shown
 from .structure import game_cohesiveness, game_indecomposability
 
@@ -97,43 +90,27 @@ def br_transitions(game: Game, x: int) -> list:
     return out
 
 
-def _movers(game: Game, backward: bool) -> list:
-    """Per player k, the (up, down) pair of ``_closure``: the configurations
-    where a move raises bit k, and where one lowers it.  Built once per game
-    and direction.
-    """
-    movers = game._movers.get(backward)
-    if movers is None:
-        literals = _literals((1 << game.n) - 1)
-        movers = []
-        for k in range(game.n):
-            ones, zeros = _best_response_sets(game, k, 0, literals)
-            if backward:
-                ones, zeros = zeros, ones
-            movers.append((ones & ~literals[k], zeros & literals[k]))
-        game._movers[backward] = movers
-    return movers
-
-
 def _closure(game: Game, sources: int, backward: bool) -> tuple:
     """Breadth-first closure of the configuration set ``sources`` (a bitset
     over the full cube) under best-response moves.
 
     Returns the closure as one bitset and one frontier bitset per layer:
     layer d holds the configurations d moves from the nearest source.  A
-    backward closure follows moves into x: player k can move into x exactly
-    when x's own bit at k is a best response against x.  A layer is
-    ``OR_k flip_k(F & movable_k)``, where ``flip_k`` shifts the
-    configurations with bit k at 0 up by 2^k and those with bit k at 1 down
-    by 2^k.
+    move of player k lands in stay_k, the game's ``_stay`` set, and k's best
+    response ignores k's own bit.  So with ``flip_k(S) = (S & ~lit_k) << 2^k
+    | (S & lit_k) >> 2^k``, a backward layer (the moves into the frontier F)
+    is ``OR_k flip_k(F & stay_k)`` and a forward one ``OR_k stay_k & flip_k(F)``.
     """
-    movers = _movers(game, backward)
+    table = [(lit, _stay(game, k)) for k, lit in _cube(game).items()]
     seen = frontier = sources
     layers = [frontier]
     while True:
         reached = 0
-        for k, (up, down) in enumerate(movers):
-            reached |= (frontier & up) << (1 << k) | (frontier & down) >> (1 << k)
+        for k, (lit, stay) in enumerate(table):
+            f = frontier & stay if backward else frontier
+            hi = f & lit
+            moved = (f ^ hi) << (1 << k) | hi >> (1 << k)
+            reached |= moved if backward else moved & stay
         frontier = reached & ~seen
         if not frontier:
             return seen, layers

@@ -96,9 +96,9 @@ class Game:
 
         self._coord_idx = tuple(k for k in range(n) if self._sign[k] > 0)
         self._anti_idx = tuple(k for k in range(n) if self._sign[k] < 0)
-        # backward -> the reachability closure's mover sets, filled on first
-        # use by ``dynamics._movers``.
-        self._movers = {}
+        # The full cube's literals and ``_stay``'s sets, filled on first use.
+        self._cube = None
+        self._stays = [None] * n
 
     # -- basic accessors -------------------------------------------------
 
@@ -346,6 +346,31 @@ def _best_response_sets(game: Game, k: int, base: int, literals: dict) -> tuple:
     return (ones, zeros) if game._sign[k] > 0 else (zeros, ones)
 
 
+def _own_best(game: Game, k: int, base: int, literals: dict) -> int:
+    """The sub-cube's configurations at which player index k's own action is
+    a best response."""
+    ones, zeros = _best_response_sets(game, k, base, literals)
+    if k in literals:
+        return ones & literals[k] | zeros & ~literals[k]
+    return ones if base >> k & 1 else zeros
+
+
+def _cube(game: Game) -> dict:
+    """The full cube's literals, made once per game."""
+    if game._cube is None:
+        game._cube = _literals((1 << game.n) - 1)
+    return game._cube
+
+
+def _stay(game: Game, k: int) -> int:
+    """The full cube's configurations x at which x's own bit k is a best
+    response of player index k.  Nash enumeration and both closures read it,
+    so it is built at most once per game, on first use."""
+    if game._stays[k] is None:
+        game._stays[k] = _own_best(game, k, 0, _cube(game))
+    return game._stays[k]
+
+
 _BYTE_BITS = tuple(tuple(b for b in range(8) if v >> b & 1) for v in range(256))
 
 
@@ -420,16 +445,13 @@ def _equilibria(game: Game, base: int, free: int, players) -> list:
     """The configurations of one sub-cube (see ``_configurations``) at which
     every one of ``players`` plays a best response, ascending.  The only
     exhaustive equilibrium scan; ``_literals`` caps it by the number of
-    ``free`` bits.
+    ``free`` bits.  On the full cube it reads the game's ``_stay`` sets.
     """
-    literals = _literals(free)
+    full = free == (1 << game.n) - 1
+    literals = _cube(game) if full else _literals(free)
     still = (1 << (1 << len(literals))) - 1
     for k in players:
-        ones, zeros = _best_response_sets(game, k, base, literals)
-        if k in literals:
-            still &= ones & literals[k] | zeros & ~literals[k]
-        else:
-            still &= ones if base >> k & 1 else zeros
+        still &= _stay(game, k) if full else _own_best(game, k, base, literals)
         if not still:
             return []
     return list(_configurations(base, free, ConfigSet(still)))

@@ -46,3 +46,21 @@ def weak_only_game():
 def knife_edge_game():
     """Factory ``(rng, n) -> Game`` for games biased toward exact ties."""
     return _knife_edge_game
+
+
+@pytest.fixture
+def full_cube_builds(monkeypatch):
+    """The player index of every full-cube best-response build, in call
+    order: the builder's calls whose literals cover all of the game's
+    players.  The builder is patched where the engine may call it from."""
+    calls = []
+    builder = cg.game._best_response_sets
+
+    def counted(game, k, base, literals):
+        if len(literals) == game.n:
+            calls.append(k)
+        return builder(game, k, base, literals)
+
+    monkeypatch.setattr(cg.game, "_best_response_sets", counted)
+    monkeypatch.setattr(cg.dynamics, "_best_response_sets", counted, raising=False)
+    return calls

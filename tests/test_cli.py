@@ -212,18 +212,17 @@ def test_reach_all_truncates_the_trap_list_to_the_lowest_masks(tmp_path, capsys)
     assert report["trap_states"] == [game.format_bits(x) for x in traps[:256]]
 
 
-def test_wildcard_sources_build_the_mover_sets_once(capsys, monkeypatch):
-    calls = []
-
-    def counted(*args):
-        calls.append(args[1])
-        return builder(*args)
-
-    builder = cg.dynamics._best_response_sets
-    monkeypatch.setattr(cg.dynamics, "_best_response_sets", counted)
-    reports = run_json(capsys, "reach", "fig3", "--from", "1111**00**", "--target", "nash")
-    assert len(reports) == 16
-    assert sorted(calls) == list(range(cg.fixture("fig3").n))
+@pytest.mark.parametrize(
+    "argv",
+    [("reach", "fig3", "--from", "1111**00**", "--target", "nash"), ("analyze", "fig3")],
+    ids=["reach", "analyze"],
+)
+def test_each_full_cube_set_is_built_once(capsys, full_cube_builds, argv):
+    # Nash enumeration and every closure (16 of them for the wildcards)
+    # share one best-response set per player.
+    report = run_json(capsys, *argv)
+    assert argv[0] == "analyze" or len(report) == 16
+    assert sorted(full_cube_builds) == list(range(cg.fixture("fig3").n))
 
 
 def test_simulate_pennies_never_absorbs(capsys):

@@ -331,6 +331,34 @@ def test_backward_closure_peak_memory():
     assert peak < 16 << 20
 
 
+def test_nash_and_closures_share_the_best_response_table_in_memory():
+    # Nash enumeration, the backward closure and one deep forward closure
+    # (1,048,553 states) read one table of 2n full-cube sets.  Separate
+    # tables for Nash and for each direction peak near 15.7 MB; the shared
+    # one near 10.6 MB.
+    game = cg.random_game(7, 20, Fraction(1, 3))
+    tracemalloc.start()
+    try:
+        global_reachability(game, enumerate_nash(game))
+        reached = reachable_set(game, 12345)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(reached) == 1_048_553
+    assert peak < 13 << 20
+
+
+def test_nash_scan_stops_early_and_closures_build_only_the_rest(full_cube_builds):
+    # Players 0 and 1 play matching pennies, so the scan is empty after
+    # their two sets; a closure then builds the other players' sets once.
+    game = Game(WeightedGraph(range(5), [(0, 1, 1), (2, 3, 1)]), [0, 2, 3], HALF)
+    assert enumerate_nash(game) == []
+    assert full_cube_builds == [0, 1]
+    reachable_set(game, 0)
+    global_reachability(game, [0])
+    assert full_cube_builds == [0, 1, 2, 3, 4]
+
+
 @pytest.mark.parametrize(
     "scan",
     [

@@ -25,6 +25,7 @@ from cacgames.game import (
     _configurations,
     _equilibria,
     _literals,
+    _stay,
 )
 
 HALF = Fraction(1, 2)
@@ -239,8 +240,9 @@ def test_configurations_walk_one_sub_cube_ascending():
 
 def test_bitset_scans_match_the_scalar_oracles(knife_edge_game):
     # The bitset builder against ``_br_bits`` and the by-definition oracle,
-    # bit by bit, on the full cube and on random sub-cubes; the equilibrium
-    # scan against a brute-force filter of every configuration.
+    # bit by bit, on the full cube and on random sub-cubes; the game's
+    # ``_stay`` table likewise; the equilibrium scan against a brute-force
+    # filter of every configuration.
     rng = random.Random(31)
     ties = 0
     for trial in range(60):
@@ -249,6 +251,10 @@ def test_bitset_scans_match_the_scalar_oracles(knife_edge_game):
             game = knife_edge_game(rng, n)
         else:
             game = cg.random_game(rng, n, max_weight=4)
+        for k in range(n):
+            stay = _stay(game, k)
+            for x in range(1 << n):
+                assert stay >> x & 1 == game._br_bits(k, x) >> (x >> k & 1) & 1, (trial, k, x)
         for free in ((1 << n) - 1, rng.getrandbits(n), rng.getrandbits(n)):
             base = rng.getrandbits(n) & ~free
             literals = _literals(free)
