@@ -55,6 +55,23 @@ def _threshold_map(nodes, thresholds) -> dict:
     return out
 
 
+def _cleared(graph: WeightedGraph, nodes, thresholds) -> tuple:
+    """(scale, rows, totals): each node's ``(neighbour index, weight)`` row,
+    ascending, and its ``r * w`` from the node -> r mapping ``thresholds``,
+    as integers on one scale that clears all of them.  The only place a
+    rational is cleared: sums compare exactly, and a sum divided by
+    ``scale`` is the exact rational again."""
+    index = graph._index
+    rows = [sorted((index[u], w) for u, w in graph._adj[v].items()) for v in nodes]
+    totals = [thresholds[v] * graph.degree(v) for v in nodes]
+    scale = math.lcm(
+        *(t.denominator for t in totals),
+        *(w.denominator for row in rows for _, w in row),
+    )
+    rows = [tuple((j, w.numerator * (scale // w.denominator)) for j, w in row) for row in rows]
+    return scale, rows, [t.numerator * (scale // t.denominator) for t in totals]
+
+
 class Game:
     """A graph plus per-player roles and thresholds.
 
@@ -76,20 +93,9 @@ class Game:
         self.n = n
         self.anti_mask = ((1 << n) - 1) ^ self.coord_mask if n else 0
 
-        # Per-index tables.  One integer scale for the whole game clears every
-        # edge weight and r_i * w_i: both ends of an edge carry one integer,
-        # margins compare, and a sum divided by _scale is exact again.
+        # Per-index tables on the game's one integer scale (see ``_cleared``).
         self._sign = sign = [1 if self.coord_mask >> k & 1 else -1 for k in range(n)]
-        rows = [sorted((graph._index[u], w) for u, w in graph._adj[v].items()) for v in nodes]
-        totals = [self.thresholds[v] * graph.degree(v) for v in nodes]
-        self._scale = scale = math.lcm(
-            *(t.denominator for t in totals),
-            *(w.denominator for row in rows for _, w in row),
-        )
-        self._nbrw = [
-            tuple((j, w.numerator * (scale // w.denominator)) for j, w in row) for row in rows
-        ]
-        self._thr_int = [t.numerator * (scale // t.denominator) for t in totals]  # r_i * w_i, scaled
+        self._scale, self._nbrw, self._thr_int = _cleared(graph, nodes, self.thresholds)
         # Per player k, (j, sign_j * w_kj): what k at 1 adds to neighbour j's
         # margin, so also what k's switch moves j's gain by.
         self._nbrsw = [tuple((j, sign[j] * w) for j, w in row) for row in self._nbrw]

@@ -138,11 +138,7 @@ class WeightedGraph:
     def restricted_degree(self, node, members: Iterable) -> Fraction:
         """Total edge weight from ``node`` into the given subset."""
         self.index(node)
-        return self._weight_into(node, self.mask_of(members))
-
-    def _weight_into(self, node, mask: int) -> Fraction:
-        """``restricted_degree`` for a known node and a subset already
-        turned into a mask by ``mask_of``."""
+        mask = self.mask_of(members)
         return sum(
             (w for u, w in self._adj[node].items() if mask >> self._index[u] & 1), ZERO
         )

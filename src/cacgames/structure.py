@@ -15,14 +15,13 @@ exact potential functions that make one-side dynamics monotone.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .errors import DegenerateNodeError, GameInputError, SizeCapError
-from .game import Game, _equilibria, _threshold_map
+from .game import Game, _cleared, _equilibria, _threshold_map
 from .game import utility as _full_utility
-from .graph import WeightedGraph, ZERO
+from .graph import WeightedGraph
 from .rationals import shown
 
 # Search nodes the partition search may visit before it gives up with
@@ -53,12 +52,12 @@ def cohesiveness(graph: WeightedGraph, members: Iterable, thresholds) -> Cohesiv
     mask = graph.mask_of(members)
     member_list = graph.members_of(mask)
     th = _threshold_map(member_list, thresholds)
+    scale, rows, totals = _cleared(graph, member_list, th)
     violators = []
-    for v in member_list:
-        inside = graph._weight_into(v, mask)
-        required = th[v] * graph.degree(v)
+    for v, row, required in zip(member_list, rows, totals):
+        inside = sum(w for j, w in row if mask >> j & 1)
         if inside < required:
-            violators.append((v, inside, required))
+            violators.append((v, Fraction(inside, scale), Fraction(required, scale)))
     return CohesivenessReport(holds=not violators, violators=tuple(violators))
 
 
@@ -109,23 +108,17 @@ class _PartitionScan:
         self.members = graph.members_of(graph.mask_of(members))
         th = _threshold_map(self.members, thresholds)
         m = len(self.members)
-        pos = {v: k for k, v in enumerate(self.members)}
-        member_set = set(self.members)
-        # Per member, on one integer scale for the whole member set: internal
-        # weights and the largest cut allowed in part1 and in part0.  Weak mode
-        # lowers each budget by one: on integers, ``cut >= b`` is ``cut > b - 1``.
+        _, rows, totals = _cleared(graph, self.members, th)
+        pos = {graph._index[v]: k for k, v in enumerate(self.members)}
+        # Per member, on ``_cleared``'s scale: weights to other members, by
+        # member position, and the largest cut allowed in part1 and in part0.
+        # Weak mode lowers each budget by one: on integers, ``cut >= b`` is
+        # ``cut > b - 1``.
         slack = 0 if mode == "strict" else 1
-        inside = [
-            [(pos[u], graph.weight(v, u)) for u in graph.neighbors(v) if u in member_set]
-            for v in self.members
+        self.internal = [tuple((pos[j], w) for j, w in row if j in pos) for row in rows]
+        self.budget = [
+            (sum(w for _, w in row) - t - slack, t - slack) for row, t in zip(rows, totals)
         ]
-        limits = [(th[v] * graph.degree(v), (1 - th[v]) * graph.degree(v)) for v in self.members]
-        scale = math.lcm(
-            *(t.denominator for pair in limits for t in pair),
-            *(w.denominator for row in inside for _, w in row),
-        )
-        self.internal = [tuple((j, int(w * scale)) for j, w in row) for row in inside]
-        self.budget = [(int(t0 * scale) - slack, int(t1 * scale) - slack) for t1, t0 in limits]
         # Edges to higher-indexed members: the search assigns from the top bit.
         self.above = [tuple((j, w) for j, w in self.internal[k] if j > k) for k in range(m)]
         self.m = m
@@ -377,13 +370,6 @@ def _own_side(game: Game, k: int, x: int) -> tuple:
     return inside, game._thr_int[k] - out1
 
 
-def _cleared_coefficient(game: Game, k: int, x: int) -> Fraction:
-    """(effective threshold - 1/2) * own-side degree, in division-free form
-    that stays defined when the own-side degree is zero."""
-    inside, pull = _own_side(game, k, x)
-    return Fraction(2 * pull - inside, 2 * game._scale)
-
-
 def _side_potential(game: Game, side: tuple, sign: int, x: int) -> Fraction:
     """Exact potential of the players ``side`` (all of role ``sign``) at
     frozen opposite actions.
@@ -392,19 +378,22 @@ def _side_potential(game: Game, side: tuple, sign: int, x: int) -> Fraction:
     difference.  Each matched internal edge counts half its weight: a flip
     of one endpoint then shifts the pair term by half the difference of the
     mover's matched and unmatched internal weight, which together with the
-    cleared linear coefficient reproduces the utility difference exactly.
+    linear term ``(r_eff - 1/2) * W_in`` of each player at 1 reproduces the
+    utility difference exactly.  That term is summed as ``2 * pull - W_in``
+    on the game's scale, so it stays defined when ``W_in`` is 0.
     Anti-coordinating players (``sign`` -1) gain from mismatches, so their
     side's form is negated.
     """
-    matched, cleared = 0, ZERO
+    matched = linear = 0
     for k in side:
         xk = x >> k & 1
         for j, w in game._nbrw[k]:
             if j > k and game._sign[j] == sign and (x >> j & 1) == xk:
                 matched += w
         if xk:
-            cleared += _cleared_coefficient(game, k, x)
-    return sign * (Fraction(matched, 2 * game._scale) - cleared)
+            inside, pull = _own_side(game, k, x)
+            linear += 2 * pull - inside
+    return Fraction(sign * (matched - linear), 2 * game._scale)
 
 
 def coordination_potential(game: Game, x: int) -> Fraction:

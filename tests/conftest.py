@@ -52,7 +52,8 @@ def knife_edge_game():
 def full_cube_builds(monkeypatch):
     """The player index of every full-cube best-response build, in call
     order: the builder's calls whose literals cover all of the game's
-    players.  The builder is patched where the engine may call it from."""
+    players.  Only ``cacgames.game`` calls the builder, so it is patched
+    there."""
     calls = []
     builder = cg.game._best_response_sets
 
@@ -62,5 +63,4 @@ def full_cube_builds(monkeypatch):
         return builder(game, k, base, literals)
 
     monkeypatch.setattr(cg.game, "_best_response_sets", counted)
-    monkeypatch.setattr(cg.dynamics, "_best_response_sets", counted, raising=False)
     return calls

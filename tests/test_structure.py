@@ -201,6 +201,61 @@ def test_pruned_search_matches_ascending_scan(mode, knife_edge_game):
     assert checked > 100
 
 
+def _fractional_weight_game(rng, n):
+    """Random game with non-integer edge weights and thresholds."""
+    ids = range(1, n + 1)
+    edges = [
+        (u, v, Fraction(rng.randint(1, 9), rng.randint(1, 7)))
+        for u in ids
+        for v in ids
+        if u < v and rng.random() < 0.6
+    ]
+    thresholds = {v: Fraction(rng.randint(1, 6), 7) for v in ids}
+    coordinating = [v for v in ids if rng.random() < 0.75]
+    return Game(WeightedGraph(ids, edges), coordinating, thresholds)
+
+
+def test_predicates_match_the_fraction_definitions(knife_edge_game):
+    """Both predicates against their definitions in ``Fraction`` arithmetic:
+    a member is cohesive when its weight into the set reaches ``r * deg``,
+    and certifies a split when its cut into the other part crosses ``r *
+    deg`` in part0 or ``(1 - r) * deg`` in part1 (``>`` strict, ``>=``
+    weak)."""
+    rng = random.Random(43)
+    for trial in range(24):
+        n = rng.randint(2, 8)
+        make = knife_edge_game if trial % 2 else _fractional_weight_game
+        game = make(rng, n)
+        graph, th = game.graph, game.thresholds
+        nodes = game.nodes
+        for subset in range(1 << n):
+            members = [v for k, v in enumerate(nodes) if subset >> k & 1]
+            expected = []
+            for v in members:
+                inside = graph.restricted_degree(v, members)
+                required = th[v] * graph.degree(v)
+                if inside < required:
+                    expected.append((v, inside, required))
+            report = cohesiveness(graph, members, th)
+            assert report.violators == tuple(expected)
+            assert report.holds == (not expected)
+        members = sorted(game.coordinating)
+        for mask0 in range(1, (1 << len(members)) - 1):
+            part0 = {v for k, v in enumerate(members) if mask0 >> k & 1}
+            part1 = set(members) - part0
+            for mode in ("strict", "weak"):
+                expected = None
+                for v in members:
+                    in0 = v in part0
+                    cut = graph.restricted_degree(v, part1 if in0 else part0)
+                    budget = (th[v] if in0 else 1 - th[v]) * graph.degree(v)
+                    if cut > budget or (mode == "weak" and cut == budget):
+                        expected = (v, "part0" if in0 else "part1")
+                        break
+                wit = partition_certificate(graph, members, th, part0, part1, mode=mode)
+                assert (wit.certifying_player, wit.condition) == (expected or (None, None))
+
+
 @pytest.mark.parametrize("mode", ["strict", "weak"])
 def test_pruned_search_stays_small_on_k30(mode):
     ids = range(1, 31)
@@ -467,7 +522,7 @@ def test_potential_identity_covers_degenerate_nodes(games):
 
 
 def test_cleared_coefficient_matches_modified_threshold():
-    from cacgames.structure import _cleared_coefficient
+    from cacgames.structure import _own_side
 
     rng = random.Random(41)
     for _ in range(20):
@@ -479,7 +534,8 @@ def test_cleared_coefficient_matches_modified_threshold():
                 continue
             for fixed in (0, (1 << game.n) - 1, rng.randrange(1 << game.n)):
                 view = RestrictedGame(game, "coordinating", fixed)
-                lhs = _cleared_coefficient(game, k, fixed)
+                w_in, pull = _own_side(game, k, fixed)
+                lhs = Fraction(2 * pull - w_in, 2 * game._scale)
                 rhs = (view.modified_threshold(v) - HALF) * inside
                 assert lhs == rhs
 
