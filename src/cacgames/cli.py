@@ -4,15 +4,17 @@ Commands read a game from a file, from standard input ("-"), or from the
 built-in fixture corpus by name, and write JSON (or DOT) to standard
 output.  All output is deterministic for a fixed seed; exit codes are
 0 success, 1 input error, 2 size cap, 3 precondition failure, 4 internal
-guarantee violation.
+guarantee violation, 141 standard output closed by its reader.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
+from functools import cache
 from itertools import islice
 
 from .dynamics import (
@@ -57,10 +59,10 @@ def _threshold_summary(game: Game) -> dict:
     }
 
 
-def _witness_json(witness) -> dict:
-    if witness is None:
-        return None
-    return {"part0": sorted(witness.part0), "part1": sorted(witness.part1)}
+def _indecomposability_json(report) -> dict:
+    w = report.witness
+    witness = None if w is None else {"part0": sorted(w.part0), "part1": sorted(w.part1)}
+    return {"holds": report.holds, "witness": witness}
 
 
 def _cohesiveness_json(report) -> dict:
@@ -130,8 +132,41 @@ def _nash_target(game: Game, which: str) -> list:
 
 
 def cmd_analyze(args) -> int:
+    """Print the report's stages in order.  A stage whose scan hits a size cap
+    holds a skipped object, and ``main`` reports the first cap with exit 2."""
     game = _resolve_game(args.game, r=args.r)
-    report = {
+    nash = cache(lambda: enumerate_nash(game))
+    # The consensus scans enumerate only the anti-coordinating side, so they
+    # can answer on games too large for the full Nash scan.
+    ones = cache(lambda: consensus_equilibria(game, action=1))
+    zeros = cache(lambda: consensus_equilibria(game, action=0))
+    capped = []
+
+    def stage(compute):
+        try:
+            return compute()
+        except SizeCapError as exc:
+            capped.append(exc)
+            return {"status": "skipped-size-cap", "detail": str(exc)}
+
+    def bits(configs) -> list:
+        return [game.format_bits(x) for x in configs]
+
+    def reachability() -> dict:
+        consensus = ones() + zeros()
+        target = consensus or nash()
+        if not target:
+            return {"status": "not-applicable"}
+        reach = global_reachability(game, target)
+        return {
+            "status": "ok",
+            "target": "consensus" if consensus else "nash",
+            "reached": reach.reached,
+            "reachable_count": reach.reachable_count,
+            "trap_count": len(reach.trap_states),
+        }
+
+    _emit({
         "schema": f"{SCHEMA_PREFIX}-analysis/1",
         "game": {
             "source": args.game,
@@ -141,56 +176,22 @@ def cmd_analyze(args) -> int:
             "anticoordinating": sorted(game.anticoordinating),
         },
         "thresholds": _threshold_summary(game),
-    }
-    report["cohesiveness"] = {
-        "consensus_one": _cohesiveness_json(game_cohesiveness(game, toward=1)),
-        "consensus_zero": _cohesiveness_json(game_cohesiveness(game, toward=0)),
-    }
-    indec = {mode: game_indecomposability(game, mode=mode) for mode in ("strict", "weak")}
-    report["indecomposability"] = {
-        mode: {"holds": rep.holds, "witness": _witness_json(rep.witness)}
-        for mode, rep in indec.items()
-    }
-    code = 0
-    consensus_json = None
-    try:
-        # The consensus scan enumerates only the anti-coordinating side, so
-        # it can answer on games too large for the full Nash scan.
-        ones = consensus_equilibria(game, action=1)
-        zeros = consensus_equilibria(game, action=0)
-        consensus_json = {
-            "ones": [game.format_bits(x) for x in ones],
-            "zeros": [game.format_bits(x) for x in zeros],
-        }
-        nash = enumerate_nash(game)
-        report["nash_count"] = len(nash)
-        report["nash"] = [game.format_bits(x) for x in nash]
-        report["consensus_equilibria"] = consensus_json
-        consensus = ones + zeros
-        if consensus:
-            target, target_name = consensus, "consensus"
-        elif nash:
-            target, target_name = nash, "nash"
-        else:
-            target, target_name = None, None
-        if target is None:
-            report["reachability"] = {"status": "not-applicable"}
-        else:
-            reach = global_reachability(game, target)
-            report["reachability"] = {
-                "status": "ok",
-                "target": target_name,
-                "reached": reach.reached,
-                "reachable_count": reach.reachable_count,
-                "trap_count": len(reach.trap_states),
-            }
-    except SizeCapError as exc:
-        if consensus_json is not None:
-            report["consensus_equilibria"] = consensus_json
-        report["enumeration"] = {"status": "skipped-size-cap", "detail": str(exc)}
-        code = 2
-    _emit(report)
-    return code
+        "cohesiveness": {
+            "consensus_one": _cohesiveness_json(game_cohesiveness(game, toward=1)),
+            "consensus_zero": _cohesiveness_json(game_cohesiveness(game, toward=0)),
+        },
+        "indecomposability": {
+            mode: stage(lambda: _indecomposability_json(game_indecomposability(game, mode=mode)))
+            for mode in ("strict", "weak")
+        },
+        "nash_count": stage(lambda: len(nash())),
+        "nash": stage(lambda: bits(nash())),
+        "consensus_equilibria": stage(lambda: {"ones": bits(ones()), "zeros": bits(zeros())}),
+        "reachability": stage(reachability),
+    })
+    if capped:
+        raise capped[0]
+    return 0
 
 
 def cmd_reach(args) -> int:
@@ -354,7 +355,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: silence the flush at exit, exit as SIGPIPE would
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except SizeCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -25,9 +25,9 @@ from .graph import WeightedGraph
 from .rationals import shown
 
 # Search nodes the partition search may visit before it gives up with
-# SizeCapError.  A hard seeded 38-member instance needs 1.4M nodes; without
-# a cap, nothing below the 64-node graph limit would bound the search.
-PARTITION_NODE_CAP = 1 << 24
+# SizeCapError.  It covers the whole tree over 20 members (2^21 - 2 nodes) and
+# a hard seeded 38-member instance (1.4M), and is reached in seconds.
+PARTITION_NODE_CAP = 1 << 21
 
 
 class CohesivenessReport(NamedTuple):

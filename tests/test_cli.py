@@ -66,8 +66,11 @@ def test_analyze_size_cap_gives_partial_report_and_exit_2(capsys, monkeypatch):
     assert code == 2
     report = json.loads(out)
     assert report["cohesiveness"]["consensus_one"]["holds"]
-    assert report["enumeration"]["status"] == "skipped-size-cap"
-    assert "nash_count" not in report
+    detail = "exhaustive scan over 13 players exceeds the cap of 10"
+    skipped = {"status": "skipped-size-cap", "detail": detail}
+    for key in ("nash_count", "nash", "reachability"):
+        assert report[key] == skipped
+    assert err == f"error: {detail}\n"
 
 
 def test_analyze_reports_consensus_equilibria_past_the_nash_cap(capsys, monkeypatch):
@@ -84,8 +87,10 @@ def test_analyze_reports_consensus_equilibria_past_the_nash_cap(capsys, monkeypa
     report = json.loads(out)
     assert report["consensus_equilibria"]["ones"] == ["1111001111111111111101"]
     assert report["consensus_equilibria"]["zeros"] == []
-    assert "nash" not in report
-    assert report["enumeration"]["status"] == "skipped-size-cap"
+    detail = "exhaustive scan over 22 players exceeds the cap of 20"
+    skipped = {"status": "skipped-size-cap", "detail": detail}
+    for key in ("nash_count", "nash", "reachability"):
+        assert report[key] == skipped
 
 
 @pytest.mark.parametrize("source", [["--all"], ["--from", "0" * 40]])
@@ -249,6 +254,23 @@ def test_simulate_step_budget_over_the_cap_exits_2(capsys):
 def test_simulate_negative_budget_exits_1_with_no_runs(capsys):
     code, out, err = run(capsys, "simulate", "pennies", "--runs", "0", "--max-steps", "-1")
     assert code == 1 and out == "" and "must be non-negative" in err
+
+
+def test_closed_stdout_exits_141_without_a_traceback():
+    # 100000 runs print about 17 MB, far more than a pipe holds, so the
+    # writer must meet the closed pipe
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cacgames.cli", "simulate", "k3", "--runs", "100000"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline().startswith(b'{"schema": "cacgames-trajectory/1"')
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 141
+    assert err == b""
 
 
 def test_cli_import_loads_neither_dataclasses_nor_pathlib():

@@ -1,5 +1,6 @@
 """Cohesiveness, indecomposability, restricted games, potentials."""
 
+import json
 import random
 import warnings
 from fractions import Fraction
@@ -279,7 +280,17 @@ def test_partition_search_stops_at_node_cap(monkeypatch, tmp_path, capsys):
     path = tmp_path / "k12.json"
     path.write_text(cg.serialize_game(Game(graph, ids, tenth)))
     assert main(["analyze", str(path)]) == 2
-    assert "partition search over 12 members" in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert "partition search over 12 members" in err
+    # the cap skips both indecomposability stages, and the others still run
+    report = json.loads(out)
+    assert report["cohesiveness"]["consensus_one"]["holds"]
+    for mode in ("strict", "weak"):
+        assert report["indecomposability"][mode]["status"] == "skipped-size-cap"
+        assert "partition search over 12 members" in report["indecomposability"][mode]["detail"]
+    assert report["nash_count"] == 2
+    assert report["consensus_equilibria"] == {"ones": ["1" * 12], "zeros": ["0" * 12]}
+    assert report["reachability"]["status"] == "ok" and report["reachability"]["reached"]
 
 
 def test_predicates_share_the_game_threshold_check(games):
