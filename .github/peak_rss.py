@@ -2,9 +2,13 @@
 
 Usage: python .github/peak_rss.py MAX_MB EXPECTED_EXIT -- CMD...
 
-Prints the command, its exit code and its peak RSS in MB (the largest of the
-command and the children it waited for), and exits 1 unless the command
-exited with EXPECTED_EXIT and peaked at or below MAX_MB.
+Prints the command, its exit code and its peak RSS in MB, and exits 1 unless
+the command exited with EXPECTED_EXIT and peaked at or below MAX_MB.  The
+figure is ``ru_maxrss`` from ``os.wait4``, which counts the forked child
+before ``exec`` too: it is the larger of this launcher's own size at the fork
+and the command's peak (the largest of the command and the children it waited
+for).  So it never reads below the launcher's size: ``-- true`` reports
+13.6 MB under CPython 3.11 on x86-64 Linux.
 """
 
 import os

@@ -1,111 +1,59 @@
 """Exact analysis of binary-action coordination/anti-coordination games on
 weighted graphs: best responses, equilibrium enumeration, structural
 predicates, and best-response dynamics, all in exact rational arithmetic.
+
+The public names are imported from their home modules on first use
+(PEP 562), so ``import cacgames`` compiles only the modules a caller
+touches: loading a game file never imports ``structure`` or ``dynamics``.
 """
 
-from .errors import (
-    DegenerateNodeError,
-    GameInputError,
-    GuaranteeViolationError,
-    PathValidationError,
-    PreconditionError,
-    SizeCapError,
-)
-from .graph import NODE_CAP, WeightedGraph
-from .game import (
-    ENUM_CAP,
-    Game,
-    best_response,
-    best_response_by_definition,
-    consensus_equilibria,
-    deviations,
-    enumerate_nash,
-    is_nash,
-    utility,
-    utility_by_definition,
-)
-from .structure import (
-    CohesivenessReport,
-    IndecomposabilityReport,
-    PartitionWitness,
-    RestrictedGame,
-    anticoordination_potential,
-    cohesiveness,
-    coordination_potential,
-    decomposition_witnesses,
-    game_cohesiveness,
-    game_indecomposability,
-    indecomposability,
-    partition_certificate,
-)
-from .dynamics import (
-    BRPath,
-    ReachabilityReport,
-    Trajectory,
-    br_transitions,
-    construct_consensus_path,
-    global_reachability,
-    reachability_from,
-    reachable_set,
-    simulate,
-    validate_br_path,
-)
-from .fixtures import FIXTURES, fixture, fixture_names
-from .gamefile import load_game, parse_game, serialize_game, to_dot
-from .generate import random_game
-from .rationals import as_rational, format_rational
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BRPath",
-    "CohesivenessReport",
-    "DegenerateNodeError",
-    "ENUM_CAP",
-    "FIXTURES",
-    "Game",
-    "GameInputError",
-    "GuaranteeViolationError",
-    "IndecomposabilityReport",
-    "NODE_CAP",
-    "PartitionWitness",
-    "PathValidationError",
-    "PreconditionError",
-    "ReachabilityReport",
-    "RestrictedGame",
-    "SizeCapError",
-    "Trajectory",
-    "WeightedGraph",
-    "anticoordination_potential",
-    "as_rational",
-    "best_response",
-    "best_response_by_definition",
-    "br_transitions",
-    "cohesiveness",
-    "consensus_equilibria",
-    "construct_consensus_path",
-    "coordination_potential",
-    "decomposition_witnesses",
-    "deviations",
-    "enumerate_nash",
-    "fixture",
-    "fixture_names",
-    "format_rational",
-    "game_cohesiveness",
-    "game_indecomposability",
-    "global_reachability",
-    "indecomposability",
-    "is_nash",
-    "load_game",
-    "parse_game",
-    "partition_certificate",
-    "random_game",
-    "reachability_from",
-    "reachable_set",
-    "serialize_game",
-    "simulate",
-    "to_dot",
-    "utility",
-    "utility_by_definition",
-    "validate_br_path",
-]
+_HOMES = {
+    "errors": (
+        "DegenerateNodeError", "GameInputError", "GuaranteeViolationError",
+        "PathValidationError", "PreconditionError", "SizeCapError",
+    ),
+    "graph": ("NODE_CAP", "WeightedGraph"),
+    "game": (
+        "ENUM_CAP", "Game", "best_response", "best_response_by_definition",
+        "consensus_equilibria", "deviations", "enumerate_nash", "is_nash",
+        "utility", "utility_by_definition",
+    ),
+    "structure": (
+        "CohesivenessReport", "IndecomposabilityReport", "PartitionWitness",
+        "RestrictedGame", "anticoordination_potential", "cohesiveness",
+        "coordination_potential", "decomposition_witnesses", "game_cohesiveness",
+        "game_indecomposability", "indecomposability", "partition_certificate",
+    ),
+    "dynamics": (
+        "BRPath", "ReachabilityReport", "Trajectory", "br_transitions",
+        "construct_consensus_path", "global_reachability", "reachability_from",
+        "reachable_set", "simulate", "validate_br_path",
+    ),
+    "fixtures": ("FIXTURES", "fixture", "fixture_names"),
+    "gamefile": ("load_game", "parse_game", "serialize_game", "to_dot"),
+    "generate": ("random_game",),
+    "rationals": ("as_rational", "format_rational"),
+}
+# Public name -> home module; submodules (``cacgames.game``, ...) resolve too.
+_HOME = {name: module for module, names in _HOMES.items() for name in names}
+_SUBMODULES = {*_HOMES, "cli"}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    if name in _SUBMODULES:
+        return import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

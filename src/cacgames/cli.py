@@ -34,9 +34,7 @@ from .errors import (
 from .fixtures import FIXTURES, fixture, fixture_names
 from .game import Game, _configurations, consensus_equilibria, enumerate_nash
 from .gamefile import load_game, serialize_game, to_dot
-from .generate import random_game
 from .rationals import as_rational, format_rational, shown
-from .structure import game_cohesiveness, game_indecomposability
 
 SCHEMA_PREFIX = "cacgames"
 
@@ -134,6 +132,8 @@ def _nash_target(game: Game, which: str) -> list:
 def cmd_analyze(args) -> int:
     """Print the report's stages in order.  A stage whose scan hits a size cap
     holds a skipped object, and ``main`` reports the first cap with exit 2."""
+    from .structure import game_cohesiveness, game_indecomposability
+
     game = _resolve_game(args.game, r=args.r)
     nash = cache(lambda: enumerate_nash(game))
     # The consensus scans enumerate only the anti-coordinating side, so they
@@ -259,6 +259,8 @@ def cmd_path(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    from .generate import random_game
+
     game = random_game(
         args.seed,
         args.nodes,

@@ -20,7 +20,6 @@ from .errors import (
 )
 from .game import ConfigSet, Game, _check_config, _config_bits, _cube, _stay
 from .rationals import shown
-from .structure import game_cohesiveness, game_indecomposability
 
 SCHEDULERS = ("round-robin", "uniform-random", "greedy-potential")
 # Largest step budget of one simulated run: a run keeps every state change.
@@ -252,6 +251,21 @@ def _consensus_value(game: Game, x: int) -> Optional[int]:
     if part == 0:
         return 0
     return None
+
+
+# The two structure predicates ``construct_consensus_path`` checks, imported
+# on first call so that simulations and closures never compile ``structure``.
+# They stay module names because ``perfbench/tracing.py`` times them here.
+def game_cohesiveness(game: Game, toward: int = 1):
+    from .structure import game_cohesiveness
+
+    return game_cohesiveness(game, toward)
+
+
+def game_indecomposability(game: Game, mode: str = "strict"):
+    from .structure import game_indecomposability
+
+    return game_indecomposability(game, mode)
 
 
 def construct_consensus_path(game: Game, x0: int, mode: str = "strict") -> BRPath:

@@ -43,7 +43,7 @@ def _threshold_map(nodes, thresholds) -> dict:
         uniform = as_rational(thresholds, what="threshold")
         out = {v: uniform for v in nodes}
     for v, r in out.items():
-        if not (0 < r < 1):
+        if not 0 < r.numerator < r.denominator:  # 0 < r < 1; denominators are positive
             try:
                 got = str(r)  # cut like ``shown``, but not quoted
             except ValueError:  # a part over Python's digit limit
@@ -61,14 +61,21 @@ def _cleared(graph: WeightedGraph, nodes, thresholds) -> tuple:
     as integers on one scale that clears all of them.  The only place a
     rational is cleared: sums compare exactly, and a sum divided by
     ``scale`` is the exact rational again."""
-    index = graph._index
-    rows = [sorted((index[u], w) for u, w in graph._adj[v].items()) for v in nodes]
-    totals = [thresholds[v] * graph.degree(v) for v in nodes]
-    scale = math.lcm(
-        *(t.denominator for t in totals),
-        *(w.denominator for row in rows for _, w in row),
-    )
-    rows = [tuple((j, w.numerator * (scale // w.denominator)) for j, w in row) for row in rows]
+    index, adj = graph._index, graph._adj
+    # Weights first: on the lcm of their denominators a degree is an integer
+    # sum, so ``r * w`` takes one Fraction per node.
+    base = math.lcm(*{w.denominator for v in nodes for w in adj[v].values()})
+    rows = [
+        sorted((index[u], w.numerator * (base // w.denominator)) for u, w in adj[v].items())
+        for v in nodes
+    ]
+    totals = [
+        Fraction(r.numerator * sum(w for _, w in row), r.denominator * base)
+        for r, row in zip([thresholds[v] for v in nodes], rows)
+    ]
+    scale = math.lcm(base, *(t.denominator for t in totals))
+    up = scale // base
+    rows = [tuple((j, w * up) for j, w in row) for row in rows]
     return scale, rows, [t.numerator * (scale // t.denominator) for t in totals]
 
 

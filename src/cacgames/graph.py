@@ -70,8 +70,8 @@ class WeightedGraph:
         if u == v:
             raise GameInputError(f"{where}: self-loop at {shown(u)}")
         weight = as_rational(w, what=f"{where}: weight")
-        if weight <= 0:
-            got = (f"zero weight {shown(w)} (omit non-edges)" if weight == 0
+        if weight.numerator <= 0:
+            got = (f"zero weight {shown(w)} (omit non-edges)" if weight.numerator == 0
                    else f"negative weight {shown(w)}")
             raise GameInputError(f"{where}: weight must be positive, got {got}")
         listed = self._adj[u].get(v)

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from .errors import GameInputError
 
-_RATIONAL_RE = re.compile(r"[+-]?\d+(?:\s*/\s*\d+)?")
+_RATIONAL_RE = re.compile(r"([+-]?\d+)(?:\s*/\s*(\d+))?")
 
 
 def shown(value) -> str:
@@ -37,13 +37,14 @@ def as_rational(value, what: str = "value") -> Fraction:
             f"{what}: floating point is not allowed, use an exact 'p/q' string"
         )
     if isinstance(value, str):
-        text = value.strip()
-        if not _RATIONAL_RE.fullmatch(text):
+        match = _RATIONAL_RE.fullmatch(value.strip())
+        if not match:
             raise GameInputError(
                 f"{what}: malformed rational {shown(value)} (expected 'p' or 'p/q')"
             )
+        p, q = match.groups()
         try:
-            return Fraction(text)
+            return Fraction(int(p), int(q or 1))
         except ZeroDivisionError:
             raise GameInputError(
                 f"{what}: malformed rational {shown(value)} (zero denominator)"

@@ -1,5 +1,6 @@
 """Utilities, best responses, equilibrium enumeration."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -22,10 +23,12 @@ from cacgames import (
 )
 from cacgames.game import (
     _best_response_sets,
+    _cleared,
     _configurations,
     _equilibria,
     _literals,
     _stay,
+    _threshold_map,
 )
 
 HALF = Fraction(1, 2)
@@ -326,3 +329,46 @@ def test_configuration_helpers_round_trip(games):
         game.mask_of_actions({v: 0 for v in range(1, 10)})
     with pytest.raises(GameInputError, match="action of 1 must be 0 or 1, got 2"):
         game.mask_of_actions({v: 2 for v in game.nodes})
+
+
+def _cleared_by_fractions(graph, nodes, thresholds):
+    """``_cleared`` summed in ``Fraction``s: every degree and every ``r * w``
+    as a rational, then one lcm over all their denominators."""
+    index = graph._index
+    rows = [sorted((index[u], w) for u, w in graph._adj[v].items()) for v in nodes]
+    totals = [thresholds[v] * graph.degree(v) for v in nodes]
+    scale = math.lcm(
+        *(t.denominator for t in totals),
+        *(w.denominator for row in rows for _, w in row),
+    )
+    rows = [tuple((j, w.numerator * (scale // w.denominator)) for j, w in row) for row in rows]
+    return scale, rows, [t.numerator * (scale // t.denominator) for t in totals]
+
+
+def test_integer_clearing_matches_the_fraction_sums(games):
+    # Rational weights with unlike denominators and per-node thresholds; the
+    # game's own clearing and the member subsets the structure predicates
+    # clear (their thresholds restricted to the members, as they pass them).
+    rng = random.Random(47)
+    cases = [(game.graph, game.thresholds) for game in games.values()]
+    for _ in range(200):
+        n = rng.randint(0, 12)
+        edges = [
+            (u, v, Fraction(rng.randint(1, 9), rng.choice((1, 2, 3, 4, 6, 7, 10))))
+            for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4
+        ]
+        thresholds = {}
+        for v in range(n):
+            q = rng.choice((2, 3, 5, 7, 12))
+            thresholds[v] = Fraction(rng.randint(1, q - 1), q)
+        cases.append((WeightedGraph(range(n), edges), thresholds))
+    for graph, thresholds in cases:
+        nodes = graph.nodes
+        members = graph.members_of(rng.getrandbits(len(nodes)))
+        for subset in (nodes, members):
+            th = _threshold_map(subset, thresholds)
+            assert _cleared(graph, subset, th) == _cleared_by_fractions(graph, subset, th)
+        game = Game(graph, members, thresholds)
+        assert (game._scale, game._nbrw, game._thr_int) == _cleared_by_fractions(
+            graph, nodes, thresholds
+        )

@@ -270,3 +270,26 @@ def test_generator_checks_the_node_cap_before_drawing():
     with pytest.raises(GameInputError, match="hard cap"):
         cg.random_game(rng, 10**9)
     assert rng.getstate() == state
+
+
+def test_rational_strings_match_the_fraction_parser():
+    # Accepted strings against ``Fraction`` on the same text with its
+    # whitespace removed (``Fraction`` refuses spaces around the slash).
+    accepted = [
+        "0", "-0", "+7", "007", "-03/006", "+4/10", " 5/3 ", "1 / 2", "2\t/ 3",
+        "١/٢", "-٣٠/٤", "７/８", "9" * 300 + "/" + "3" * 300,
+    ]
+    for text in accepted:
+        assert cg.as_rational(text) == Fraction("".join(text.split())), text
+    for text in ("1/0", " -3 / 000 ", "١/٠"):
+        with pytest.raises(GameInputError) as info:
+            cg.as_rational(text, what="weight")
+        assert str(info.value) == f"weight: malformed rational {text!r} (zero denominator)"
+    for text in ("1/" + "0" * 5000, "9" * 5000, "-1/" + "7" * 4301):
+        with pytest.raises(GameInputError) as info:
+            cg.as_rational(text, what="weight")
+        assert str(info.value) == "weight: rational has too many digits"
+    for text in ("", "1.5", "1/-2", "/2", "1/2/3", "1_000", "1/2 3"):
+        with pytest.raises(GameInputError) as info:
+            cg.as_rational(text)
+        assert str(info.value) == f"value: malformed rational {text!r} (expected 'p' or 'p/q')"

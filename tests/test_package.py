@@ -1,0 +1,78 @@
+"""The package's lazy exports: what ``import cacgames`` and each command load."""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import cacgames as cg
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+HEAVY = ("cacgames.structure", "cacgames.dynamics", "cacgames.cli",
+         "cacgames.fixtures", "cacgames.generate")
+
+
+def _loaded(code: str, *argv) -> list:
+    """The ``cacgames`` modules a fresh interpreter holds after ``code``."""
+    # -S keeps site and its .pth files out of the module list
+    probe = code + "\nimport json\nprint(json.dumps(sorted(m for m in sys.modules if m.startswith('cacgames'))))"
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", probe, *argv],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_loading_a_game_file_compiles_no_analysis_module(tmp_path):
+    path = tmp_path / "fig3.json"
+    path.write_text(cg.serialize_game(cg.fixture("fig3")))
+    loaded = _loaded("import sys, cacgames\ncacgames.load_game(sys.argv[1])", str(path))
+    assert "cacgames.gamefile" in loaded
+    assert not set(HEAVY) & set(loaded)
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "fig3", "--runs", "2"],
+    ["reach", "fig3", "--all"],
+    ["reach", "k3", "--from", "0*1"],
+])
+def test_simulate_and_reach_do_not_compile_structure(argv):
+    # runpy is what ``python -m cacgames.cli`` runs
+    code = (
+        "import runpy, sys\n"
+        "try:\n    runpy.run_module('cacgames.cli', run_name='__main__')\n"
+        "except SystemExit as exc:\n    assert exc.code == 0, exc.code"
+    )
+    loaded = _loaded(code, *argv)
+    assert "cacgames.dynamics" in loaded
+    assert "cacgames.structure" not in loaded
+
+
+def test_every_public_name_resolves_to_its_home_module():
+    assert len(cg.__all__) == 50 == len(set(cg.__all__))
+    for name in cg.__all__:
+        home = importlib.import_module(f"cacgames.{cg._HOME[name]}")
+        assert getattr(cg, name) is getattr(home, name), name
+    assert set(cg.__all__) <= set(dir(cg))
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from cacgames import *", namespace)
+    assert set(cg.__all__) <= namespace.keys()
+    assert namespace["load_game"] is cg.gamefile.load_game
+
+
+def test_submodules_resolve_and_unknown_names_do_not():
+    for module in ("errors", "graph", "game", "structure", "dynamics", "fixtures",
+                   "gamefile", "generate", "rationals", "cli"):
+        assert getattr(cg, module) is importlib.import_module(f"cacgames.{module}")
+    assert cg.game.ENUM_CAP == cg.ENUM_CAP
+    with pytest.raises(AttributeError, match="no attribute 'nash'"):
+        cg.nash
+    assert not hasattr(cg, "_cleared")
