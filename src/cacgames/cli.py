@@ -17,14 +17,6 @@ import sys
 from functools import cache
 from itertools import islice
 
-from .dynamics import (
-    _check_run,
-    construct_consensus_path,
-    global_reachability,
-    reachability_from,
-    simulate,
-    SCHEDULERS,
-)
 from .errors import (
     GameInputError,
     GuaranteeViolationError,
@@ -114,7 +106,7 @@ def _parse_pattern(game: Game, pattern: str) -> list:
             f"pattern must be {game.n} characters of 0, 1 or *, got {shown(pattern)}"
         )
     if pattern.count("*") > 16:
-        raise GameInputError("too many wildcards (limit 16)")
+        raise SizeCapError("too many wildcards (limit 16)")
     base = sum(1 << k for k, c in enumerate(pattern) if c == "1")
     free = sum(1 << k for k, c in enumerate(pattern) if c == "*")
     return list(_configurations(base, free))
@@ -132,6 +124,7 @@ def _nash_target(game: Game, which: str) -> list:
 def cmd_analyze(args) -> int:
     """Print the report's stages in order.  A stage whose scan hits a size cap
     holds a skipped object, and ``main`` reports the first cap with exit 2."""
+    from .dynamics import global_reachability
     from .structure import game_cohesiveness, game_indecomposability
 
     game = _resolve_game(args.game, r=args.r)
@@ -195,6 +188,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_reach(args) -> int:
+    from .dynamics import global_reachability, reachability_from
+
     game = _resolve_game(args.game, r=args.r)
     target = _nash_target(game, args.target)
     if args.all:
@@ -211,10 +206,12 @@ def cmd_reach(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    game = _resolve_game(args.game, r=args.r)
+    from .dynamics import _check_run, simulate
+
     if args.runs < 0:
         raise GameInputError("--runs must be non-negative")
     _check_run(args.scheduler, args.max_steps)
+    game = _resolve_game(args.game, r=args.r)
     if args.from_ is not None:
         starts = _parse_pattern(game, args.from_)
     else:
@@ -251,6 +248,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_path(args) -> int:
+    from .dynamics import construct_consensus_path
+
     game = _resolve_game(args.game, r=args.r)
     x0 = game.parse_bits(args.from_)
     path = construct_consensus_path(game, x0, mode=args.mode)
@@ -325,7 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_game_argument(p)
     p.add_argument("--from", dest="from_", metavar="BITS", default=None,
                    help="start pattern (0/1/*); omitted means a seeded random start per run")
-    p.add_argument("--scheduler", choices=SCHEDULERS, default="uniform-random")
+    p.add_argument("--scheduler", default="uniform-random",
+                   help="round-robin, uniform-random (default) or greedy-potential")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-steps", type=int, default=1000)
     p.add_argument("--runs", type=int, default=1)

@@ -445,12 +445,6 @@ class ConfigSet(Set):
     def _from_iterable(cls, it) -> frozenset:
         return frozenset(it)
 
-    def __eq__(self, other):
-        # Two views compare their bytes, not member by member.
-        if isinstance(other, ConfigSet):
-            return self._data == other._data
-        return Set.__eq__(self, other)
-
     __hash__ = Set._hash
 
 

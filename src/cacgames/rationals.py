@@ -56,6 +56,4 @@ def as_rational(value, what: str = "value") -> Fraction:
 
 def format_rational(value: Fraction) -> str:
     """Render a Fraction as "p" or "p/q" (lowest terms, positive q)."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    return str(value)

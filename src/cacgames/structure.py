@@ -271,20 +271,18 @@ class RestrictedGame:
     opposite side's bits are read.
     """
 
-    __slots__ = ("game", "side", "fixed")
+    __slots__ = ("game", "side", "fixed", "moving", "moving_mask", "_movers", "_sign")
 
     def __init__(self, game: Game, side: str, fixed: int) -> None:
-        if side not in ("coordinating", "anticoordinating"):
+        if side == "coordinating":
+            self.moving, self.moving_mask = game.coordinating, game.coord_mask
+            self._movers, self._sign = game._coord_idx, 1
+        elif side == "anticoordinating":
+            self.moving, self.moving_mask = game.anticoordinating, game.anti_mask
+            self._movers, self._sign = game._anti_idx, -1
+        else:
             raise GameInputError(f"side must name a role, got {side!r}")
         self.game, self.side, self.fixed = game, side, fixed
-
-    @property
-    def moving(self) -> frozenset:
-        return self.game.coordinating if self.side == "coordinating" else self.game.anticoordinating
-
-    @property
-    def moving_mask(self) -> int:
-        return self.game.coord_mask if self.side == "coordinating" else self.game.anti_mask
 
     def merged(self, x: int) -> int:
         """Full configuration: moving bits from ``x``, the rest from ``fixed``."""
@@ -338,19 +336,14 @@ class RestrictedGame:
         return ((r - r_eff) * own0 + r * out0) / game._scale
 
     def potential(self, x: int) -> Fraction:
-        merged = self.merged(x)
-        if self.side == "coordinating":
-            return coordination_potential(self.game, merged)
-        return anticoordination_potential(self.game, merged)
+        return _side_potential(self.game, self._movers, self._sign, self.merged(x))
 
     def nash(self) -> list:
         """Exact equilibria of the one-side game, as full masks (frozen bits
         included), ascending.  Capped by the number of moving players.
         """
-        game = self.game
-        movers = game._coord_idx if self.side == "coordinating" else game._anti_idx
         mm = self.moving_mask
-        return _equilibria(game, self.fixed & ~mm, mm, movers)
+        return _equilibria(self.game, self.fixed & ~mm, mm, self._movers)
 
 
 def _own_side(game: Game, k: int, x: int) -> tuple:

@@ -123,12 +123,19 @@ def test_command_line_errors_exit_1_with_a_short_message(tmp_path, capsys):
     path = tmp_path / "wide.json"
     path.write_text(cg.serialize_game(game))
     code, out, err = run(capsys, "reach", str(path), "--from", "*" * 17, "--target", "consensus")
-    assert code == 1 and out == ""
+    assert code == 2 and out == ""
     assert err == "error: too many wildcards (limit 16)\n"
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--help"])
     assert exc.value.code == 0
-    assert "--runs" in capsys.readouterr().out
+    # argparse may wrap a help line after a hyphen
+    help_text = re.sub(r"-\s+", "-", capsys.readouterr().out)
+    assert "--runs" in help_text
+    assert all(name in help_text for name in cg.dynamics.SCHEDULERS)
+    # the engine refuses the scheduler before the game file is read
+    code, out, err = run(capsys, "simulate", "nosuch.json", "--scheduler", "bogus")
+    assert code == 1 and out == ""
+    assert err == f"error: unknown scheduler 'bogus'; pick one of {cg.dynamics.SCHEDULERS}\n"
 
 
 def test_readme_synopsis_names_every_option():

@@ -36,12 +36,16 @@ def test_loading_a_game_file_compiles_no_analysis_module(tmp_path):
     assert not set(HEAVY) & set(loaded)
 
 
-@pytest.mark.parametrize("argv", [
-    ["simulate", "fig3", "--runs", "2"],
-    ["reach", "fig3", "--all"],
-    ["reach", "k3", "--from", "0*1"],
+@pytest.mark.parametrize("argv, dynamics, structure", [
+    (["gen", "--nodes", "4"], False, False),
+    (["export", "k3"], False, False),
+    (["simulate", "fig3", "--runs", "2"], True, False),
+    (["reach", "fig3", "--all"], True, False),
+    (["reach", "k3", "--from", "0*1"], True, False),
+    (["analyze", "k3"], True, True),
+    (["path", "k3", "--from", "000", "--mode", "weak"], True, True),
 ])
-def test_simulate_and_reach_do_not_compile_structure(argv):
+def test_each_command_compiles_only_what_it_runs(argv, dynamics, structure):
     # runpy is what ``python -m cacgames.cli`` runs
     code = (
         "import runpy, sys\n"
@@ -49,8 +53,8 @@ def test_simulate_and_reach_do_not_compile_structure(argv):
         "except SystemExit as exc:\n    assert exc.code == 0, exc.code"
     )
     loaded = _loaded(code, *argv)
-    assert "cacgames.dynamics" in loaded
-    assert "cacgames.structure" not in loaded
+    assert ("cacgames.dynamics" in loaded) == dynamics
+    assert ("cacgames.structure" in loaded) == structure
 
 
 def test_every_public_name_resolves_to_its_home_module():

@@ -518,6 +518,10 @@ def _assert_potential_identity(game):
                 view = RestrictedGame(game, "anticoordinating", x)
             assert du == dphi, (v, x)
             assert view.potential(flipped) - view.potential(x) == du, (v, x)
+        for side, phi in (("coordinating", coordination_potential),
+                          ("anticoordinating", anticoordination_potential)):
+            view = RestrictedGame(game, side, x)
+            assert view.potential(x) == phi(game, view.merged(x)), (side, x)
 
 
 def test_potential_identity_on_small_fixtures(games):
