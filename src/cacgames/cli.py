@@ -112,12 +112,6 @@ def _parse_pattern(game: Game, pattern: str) -> list:
     return list(_configurations(base, free))
 
 
-def _nash_target(game: Game, which: str) -> list:
-    if which == "nash":
-        return enumerate_nash(game)
-    return consensus_equilibria(game)
-
-
 # -- subcommands ---------------------------------------------------------
 
 
@@ -191,7 +185,7 @@ def cmd_reach(args) -> int:
     from .dynamics import global_reachability, reachability_from
 
     game = _resolve_game(args.game, r=args.r)
-    target = _nash_target(game, args.target)
+    target = enumerate_nash(game) if args.target == "nash" else consensus_equilibria(game)
     if args.all:
         report = global_reachability(game, target)
         _emit(_reach_json(game, report, args.target, len(target)))

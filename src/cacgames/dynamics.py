@@ -66,11 +66,11 @@ def validate_br_path(game: Game, path: BRPath) -> None:
             raise PathValidationError(f"step {k}: players other than {shown(node)} changed")
         if (1 if after & bit else 0) != action:
             raise PathValidationError(
-                f"step {k}: configuration does not apply action {action} of {shown(node)}"
+                f"step {k}: configuration does not apply action {shown(action)} of {shown(node)}"
             )
         if not game._br_bits(game.graph.index(node), before) >> action & 1:
             raise PathValidationError(
-                f"step {k}: action {action} is not a best response of {shown(node)}"
+                f"step {k}: action {shown(action)} is not a best response of {shown(node)}"
             )
 
 
@@ -81,6 +81,7 @@ def br_transitions(game: Game, x: int) -> list:
     order.  Empty exactly when every player strictly prefers its current
     action (a tie still contributes a move to the other action).
     """
+    _check_config(game, x, "source")
     out = []
     for k in range(game.n):
         cur = x >> k & 1
@@ -286,6 +287,9 @@ def construct_consensus_path(game: Game, x0: int, mode: str = "strict") -> BRPat
     Weak indecomposability gives no such guarantee: there a stalled or
     revisiting construction raises PreconditionError.
     """
+    from .structure import _check_mode
+
+    _check_mode(mode)
     _check_config(game, x0, "start")
     coh_one = game_cohesiveness(game, toward=1).holds
     coh_zero = game_cohesiveness(game, toward=0).holds
@@ -296,9 +300,9 @@ def construct_consensus_path(game: Game, x0: int, mode: str = "strict") -> BRPat
     indec = game_indecomposability(game, mode=mode)
     if not indec.holds:
         w = indec.witness
+        parts = " / ".join(f"[{', '.join(map(shown, sorted(p)))}]" for p in (w.part0, w.part1))
         raise PreconditionError(
-            f"the coordinating set is decomposable ({mode} mode): "
-            f"parts {sorted(w.part0)} / {sorted(w.part1)}"
+            f"the coordinating set is decomposable ({mode} mode): parts {parts}"
         )
     backed_action = 1 if coh_one else 0
 
@@ -378,11 +382,11 @@ class Trajectory(NamedTuple):
 def _check_run(scheduler: str, max_steps: int) -> None:
     """The run settings ``simulate`` accepts, checked before any run."""
     if scheduler not in SCHEDULERS:
-        raise GameInputError(f"unknown scheduler {scheduler!r}; pick one of {SCHEDULERS}")
+        raise GameInputError(f"unknown scheduler {shown(scheduler)}; pick one of {SCHEDULERS}")
     if max_steps < 0:
         raise GameInputError("max_steps must be non-negative")
     if max_steps > STEP_CAP:
-        raise SizeCapError(f"a budget of {max_steps} steps exceeds the cap of {STEP_CAP}")
+        raise SizeCapError(f"a budget of {shown(max_steps)} steps exceeds the cap of {STEP_CAP}")
 
 
 def simulate(

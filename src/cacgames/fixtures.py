@@ -14,6 +14,7 @@ from fractions import Fraction
 from .errors import GameInputError
 from .game import Game
 from .graph import WeightedGraph
+from .rationals import shown
 
 HALF = Fraction(1, 2)
 
@@ -121,6 +122,6 @@ def fixture(name: str) -> Game:
         build = FIXTURES[name]
     except KeyError:
         raise GameInputError(
-            f"unknown fixture {name!r}; available: {', '.join(fixture_names())}"
+            f"unknown fixture {shown(name)}; available: {', '.join(fixture_names())}"
         ) from None
     return build()

@@ -44,13 +44,8 @@ def _threshold_map(nodes, thresholds) -> dict:
         out = {v: uniform for v in nodes}
     for v, r in out.items():
         if not 0 < r.numerator < r.denominator:  # 0 < r < 1; denominators are positive
-            try:
-                got = str(r)  # cut like ``shown``, but not quoted
-            except ValueError:  # a part over Python's digit limit
-                got = "a rational with too many digits"
             raise GameInputError(
-                f"threshold of {shown(v)} must lie strictly between 0 and 1, "
-                f"got {got if len(got) <= 40 else got[:40] + '...'}"
+                f"threshold of {shown(v)} must lie strictly between 0 and 1, got {shown(r)}"
             )
     return out
 
@@ -389,7 +384,7 @@ _BYTE_BITS = tuple(tuple(b for b in range(8) if v >> b & 1) for v in range(256))
 
 def _check_config(game: Game, x, what: str) -> None:
     if not isinstance(x, int) or not 0 <= x < 1 << game.n:
-        raise GameInputError(f"{what} configuration {x!r} is out of range")
+        raise GameInputError(f"{what} configuration {shown(x)} is out of range")
 
 
 def _config_bits(game: Game, configs: Iterable, what: str) -> int:
@@ -477,7 +472,7 @@ def consensus_equilibria(game: Game, action=None) -> list:
     at consensus, so the scan is capped by their number alone.
     """
     if action not in (0, 1, None):
-        raise GameInputError(f"action must be 0, 1 or None, got {action!r}")
+        raise GameInputError(f"action must be 0, 1 or None, got {shown(action)}")
     actions = (0, 1) if action is None else (action,)
     found = set()
     for a in actions:

@@ -21,7 +21,7 @@ from itertools import islice
 from typing import Iterable, Tuple
 
 from .errors import GameInputError
-from .rationals import as_rational, format_rational, shown
+from .rationals import as_rational, shown
 
 NODE_CAP = 64
 
@@ -80,7 +80,7 @@ class WeightedGraph:
             if listed != weight:
                 raise GameInputError(
                     f"{where}: asymmetric weights for edge {shown(pair)}: "
-                    f"{format_rational(listed)} vs {format_rational(weight)}"
+                    f"{shown(listed)} vs {shown(weight)}"
                 )
             raise GameInputError(f"{where}: duplicate edge {shown(pair)}")
         self._adj[u][v] = weight

@@ -15,12 +15,15 @@ _RATIONAL_RE = re.compile(r"([+-]?\d+)(?:\s*/\s*(\d+))?")
 
 
 def shown(value) -> str:
-    """``repr(value)`` for a diagnostic, cut after 40 characters so that a
-    long input is never echoed in full: a string's own text, anything else
-    its repr."""
+    """A caller's value as every diagnostic echoes it: a string quoted,
+    anything else as ``str`` (a Fraction reads ``p/q``), cut after 40
+    characters.  A number past Python's digit limit reads as a phrase."""
     if isinstance(value, str):
         return repr(value) if len(value) <= 40 else repr(value[:40]) + "..."
-    text = repr(value)
+    try:
+        text = str(value)
+    except ValueError:  # an int past Python's digit limit
+        return "a number with too many digits"
     return text if len(text) <= 40 else text[:40] + "..."
 
 

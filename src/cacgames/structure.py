@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .errors import DegenerateNodeError, GameInputError, SizeCapError
-from .game import Game, _cleared, _equilibria, _threshold_map
+from .game import Game, _check_config, _cleared, _equilibria, _threshold_map
 from .game import utility as _full_utility
 from .graph import WeightedGraph
 from .rationals import shown
@@ -93,6 +93,11 @@ class IndecomposabilityReport(NamedTuple):
         return self.holds
 
 
+def _check_mode(mode) -> None:
+    if mode not in ("strict", "weak"):
+        raise GameInputError(f"mode must be 'strict' or 'weak', got {shown(mode)}")
+
+
 class _PartitionScan:
     """Shared precomputation for deciding splits of one member set.
 
@@ -103,8 +108,7 @@ class _PartitionScan:
     """
 
     def __init__(self, graph: WeightedGraph, members: Iterable, thresholds, mode: str):
-        if mode not in ("strict", "weak"):
-            raise GameInputError(f"mode must be 'strict' or 'weak', got {mode!r}")
+        _check_mode(mode)
         self.members = graph.members_of(graph.mask_of(members))
         th = _threshold_map(self.members, thresholds)
         m = len(self.members)
@@ -249,15 +253,13 @@ def game_cohesiveness(game: Game, toward: int = 1) -> CohesivenessReport:
     ``toward=1`` uses r_i (supports all-ones consensus), ``toward=0`` the
     complementary 1 - r_i (supports all-zeros consensus).
     """
-    members = sorted(game.coordinating)
-    th = {v: game.thresholds[v] if toward == 1 else 1 - game.thresholds[v] for v in members}
-    return cohesiveness(game.graph, members, th)
+    r = game.thresholds
+    th = r if toward == 1 else {v: 1 - r[v] for v in game.coordinating}
+    return cohesiveness(game.graph, game.coordinating, th)
 
 
 def game_indecomposability(game: Game, mode: str = "strict") -> IndecomposabilityReport:
-    members = sorted(game.coordinating)
-    th = {v: game.thresholds[v] for v in members}
-    return indecomposability(game.graph, members, th, mode=mode)
+    return indecomposability(game.graph, game.coordinating, game.thresholds, mode=mode)
 
 
 # -- restricted games ---------------------------------------------------
@@ -281,7 +283,8 @@ class RestrictedGame:
             self.moving, self.moving_mask = game.anticoordinating, game.anti_mask
             self._movers, self._sign = game._anti_idx, -1
         else:
-            raise GameInputError(f"side must name a role, got {side!r}")
+            raise GameInputError(f"side must name a role, got {shown(side)}")
+        _check_config(game, fixed, "fixed")
         self.game, self.side, self.fixed = game, side, fixed
 
     def merged(self, x: int) -> int:

@@ -136,6 +136,27 @@ def test_command_line_errors_exit_1_with_a_short_message(tmp_path, capsys):
     code, out, err = run(capsys, "simulate", "nosuch.json", "--scheduler", "bogus")
     assert code == 1 and out == ""
     assert err == f"error: unknown scheduler 'bogus'; pick one of {cg.dynamics.SCHEDULERS}\n"
+    # a value echoed from an option or a file is cut, whatever its size
+    conflict = tmp_path / "conflict.json"
+    conflict.write_text(json.dumps({
+        "nodes": [{"id": v, "role": "coordinating", "threshold": "1/2"} for v in (1, 2)],
+        "edges": [{"u": 1, "v": 2, "weight": d * 4000} for d in ("8", "9")],
+    }))
+    # two disjoint coordinating pairs: cohesive, and decomposable into the pairs
+    ids = [c * 5000 for c in "abcd"]
+    split = tmp_path / "split.json"
+    split.write_text(cg.serialize_game(cg.Game(
+        cg.WeightedGraph(ids, [(ids[0], ids[1], 1), (ids[2], ids[3], 1)]), ids, "1/2"
+    )))
+    for argv, expected in (
+        (["simulate", "pennies", "--scheduler", "x" * 20_000], 1),
+        (["analyze", str(conflict)], 1),
+        (["simulate", "pennies", "--max-steps", "9" * 4300], 2),
+        (["path", str(split), "--from", "0000"], 3),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == expected and out == "", argv[:2]
+        assert len(err.encode()) < 300, argv[:2]
 
 
 def test_readme_synopsis_names_every_option():

@@ -188,6 +188,11 @@ def test_out_of_range_configurations_rejected(games):
             simulate(k3, bad)
         with pytest.raises(GameInputError, match="start configuration"):
             construct_consensus_path(k3, bad, mode="weak")
+    for bad in (1 << 10, -1):
+        with pytest.raises(GameInputError, match="fixed configuration"):
+            cg.RestrictedGame(k3, "anticoordinating", bad)
+        with pytest.raises(GameInputError, match="source configuration"):
+            br_transitions(k3, bad)
 
 
 def test_witness_tie_break_is_pinned(games):

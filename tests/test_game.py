@@ -39,8 +39,29 @@ def test_threshold_must_be_strictly_inside_unit_interval():
     for bad in (0, 1, "5/4", "-1/2", Fraction(10**5000)):
         with pytest.raises(GameInputError):
             Game(g, {1}, bad)
+    with pytest.raises(GameInputError, match="got a number with too many digits$"):
+        Game(g, {1}, Fraction(10**5000))
     with pytest.raises(GameInputError, match="missing threshold for node 2"):
         Game(g, {1}, {1: HALF})
+
+
+HUGE = 10**5000  # past Python's digit limit for int-to-text conversion
+LONG = "x" * 20_000
+
+
+@pytest.mark.parametrize("call", [
+    lambda: WeightedGraph([1, 2], [(1, 2, -HUGE)]),
+    lambda: cg.simulate(cg.fixture("k3"), HUGE),
+    lambda: cg.simulate(cg.fixture("k3"), 0, max_steps=HUGE),
+    lambda: cg.consensus_equilibria(cg.fixture("k3"), action=HUGE),
+    lambda: cg.fixture(LONG),
+    lambda: cg.RestrictedGame(cg.fixture("k3"), LONG, 0),
+    lambda: cg.indecomposability(cg.fixture("k3").graph, [1, 2], HALF, mode=LONG),
+], ids=["weight", "start", "max_steps", "action", "fixture", "side", "mode"])
+def test_diagnostics_echo_a_value_in_at_most_40_characters(call):
+    with pytest.raises(GameInputError) as info:
+        call()
+    assert len(str(info.value)) < 200
 
 
 def test_utility_values_on_pennies(games):
@@ -217,6 +238,8 @@ def test_consensus_equilibria_fixture_values(games):
     assert consensus_equilibria(games["fig1"], action=1) != []
     with pytest.raises(GameInputError, match="action must be 0, 1 or None, got 2"):
         consensus_equilibria(fig3, action=2)
+    with pytest.raises(GameInputError, match="got -1/2$"):
+        consensus_equilibria(fig3, action=Fraction(-1, 2))
 
 
 def test_consensus_equilibria_subset_of_nash():

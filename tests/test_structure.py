@@ -36,11 +36,12 @@ HALF = Fraction(1, 2)
 def test_cohesiveness_fig1_holds_at_two_fifths(games):
     report = cohesiveness(games["fig1"].graph, range(1, 9), Fraction(2, 5))
     assert report.holds and not report.violators
+    assert bool(report)
 
 
 def test_cohesiveness_fig2b_violated_by_node_6(games):
     report = cohesiveness(games["fig2b"].graph, range(2, 7), HALF)
-    assert not report.holds
+    assert not report.holds and not bool(report)
     assert report.violators == ((6, Fraction(0), HALF),)
 
 
@@ -308,6 +309,11 @@ def test_predicates_share_the_game_threshold_check(games):
 def test_bad_mode_rejected(games):
     with pytest.raises(GameInputError):
         game_indecomposability(games["k3"], mode="loose")
+    # checked before the cohesiveness scans, so pennies (cohesive in neither
+    # direction) reports the mode as well
+    for name in ("k3", "pennies"):
+        with pytest.raises(GameInputError, match="mode must be 'strict' or 'weak', got 'bogus'"):
+            cg.construct_consensus_path(games[name], 0, mode="bogus")
     with pytest.raises(GameInputError, match="side must name a role, got 'leaders'"):
         RestrictedGame(games["k3"], "leaders", 0)
     fig3 = games["fig3"]
