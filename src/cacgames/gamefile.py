@@ -25,12 +25,17 @@ import re
 import sys
 from typing import Optional
 
-from .errors import GameInputError
+from .errors import GameInputError, SizeCapError
 from .game import Game
 from .graph import WeightedGraph
 from .rationals import format_rational, shown
 
 ROLES = ("coordinating", "anticoordinating")
+
+# The longest input load_game reads, in characters.  serialize_game writes at
+# most 18,019,909 of them for 64 nodes, 2016 edges, p/q parts of 4300 digits
+# and two-digit ids, so 2^25 leaves about 3,790 for each of the 4096 ids.
+INPUT_CAP = 1 << 25
 
 
 def parse_game(text: str) -> Game:
@@ -84,13 +89,16 @@ def _fields(where: str, entry, names) -> tuple:
 
 
 def load_game(path: str) -> Game:
-    """Parse a game file from disk ('-' reads standard input)."""
+    """Parse a game file from disk ('-' reads standard input).  Input longer
+    than ``INPUT_CAP`` characters raises SizeCapError after that many."""
     try:
         if path == "-":
-            text = sys.stdin.read()
+            text = sys.stdin.read(INPUT_CAP + 1)
         else:
             with open(path, encoding="utf-8") as f:
-                text = f.read()
+                text = f.read(INPUT_CAP + 1)
+        if len(text) > INPUT_CAP:
+            raise SizeCapError(f"cannot read {shown(path)}: longer than the cap of {INPUT_CAP} characters")
         text.encode("utf-8")  # standard input may decode bad bytes to lone surrogates
     except OSError as exc:
         raise GameInputError(f"cannot read {shown(path)}: {exc.strerror}") from None

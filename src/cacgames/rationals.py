@@ -7,21 +7,32 @@ a float would silently change best-response sets.
 """
 
 import re
+import reprlib
 from fractions import Fraction
 
 from .errors import GameInputError
 
 _RATIONAL_RE = re.compile(r"([+-]?\d+)(?:\s*/\s*(\d+))?")
 
+# Renders a container two levels deep, 20 items a level: its first 40
+# characters are str's for lists and tuples of scalars, whatever their size.
+_BOUNDED = reprlib.Repr()
+_BOUNDED.maxlevel = 2
+_BOUNDED.maxtuple = _BOUNDED.maxlist = _BOUNDED.maxarray = _BOUNDED.maxdict = 20
+_BOUNDED.maxset = _BOUNDED.maxfrozenset = _BOUNDED.maxdeque = 20
+_BOUNDED.maxstring = _BOUNDED.maxlong = _BOUNDED.maxother = 100
+
 
 def shown(value) -> str:
-    """A caller's value as every diagnostic echoes it: a string quoted,
-    anything else as ``str`` (a Fraction reads ``p/q``), cut after 40
-    characters.  A number past Python's digit limit reads as a phrase."""
+    """A caller's value as every diagnostic echoes it: a string quoted, a
+    container through a bounded ``repr``, anything else as ``str`` (a
+    Fraction reads ``p/q``), cut after 40 characters.  A number past
+    Python's digit limit reads as a phrase."""
     if isinstance(value, str):
         return repr(value) if len(value) <= 40 else repr(value[:40]) + "..."
+    bounded = isinstance(value, (list, tuple, dict, set, frozenset))
     try:
-        text = str(value)
+        text = _BOUNDED.repr(value) if bounded else str(value)
     except ValueError:  # an int past Python's digit limit
         return "a number with too many digits"
     return text if len(text) <= 40 else text[:40] + "..."

@@ -504,6 +504,16 @@ PINNED_FIXTURE_RUNS = {
     "path fig5 --from 10011010100 --mode weak": (0, "3d8bb2a6d6e625cd2b878f4e2c2671be45d3a6707a478907dce5a5d020c72cdf"),
     "path k3 --from 000 --mode weak": (0, "05087ef67a177f4fe130bf786e4f1235eae3bc533b0f899609fd4b9ceb5714f4"),
     "path fig5 --from 00000000000 --mode strict": (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    # each fixture's DOT: every edge with its weight, and every player's role
+    "export fig1": (0, "902598a5b533e1e0896aef4278cf6a90c973333a622259e6d71ec304f02dc1ab"),
+    "export fig2a": (0, "5177e86da9e1ad3cd6bcafd2f5a8c40d4bef769236b09d90430d62975d837961"),
+    "export fig2b": (0, "dff71acfd3584827d608ad2edba9074718edc6111fcb9bacb4b20412138ed81d"),
+    "export fig2c": (0, "8aaa328912ed8c1764b141cf65b9a94fd1c213800f8fe07d770d9f19d1f5a527"),
+    "export fig3": (0, "ffc6c76804116482afd1ab78563cc8f39c7c93e21c7953abcbc58c8e36704dfd"),
+    "export fig4": (0, "d761518573e9824d882759fa2e6ea8ddb04e30a180b72400cb02f74c797e4dbb"),
+    "export fig5": (0, "b2b22091621234f1dbdb5a7a5670da7e6652ff06c4fc77de70e81dc1674e2650"),
+    "export k3": (0, "11264597c9252b7ee34b84105552aa5cb6faae76cbd27063febd14f6fc987b6b"),
+    "export pennies": (0, "aa71de764d851196ff0222ddba47a52ea74333990ff7baa59be26fe3dc625fc9"),
 }
 
 # ``analyze -`` on the output of ``gen`` with these arguments.

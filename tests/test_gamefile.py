@@ -147,6 +147,40 @@ def test_cli_rejects_input_that_is_not_utf8(tmp_path, capsys, monkeypatch):
         assert captured.out == "" and "not UTF-8 text" in captured.err
 
 
+def test_endless_standard_input_exits_2_after_the_cap(capsys, monkeypatch):
+    from cacgames.cli import main
+    from cacgames.gamefile import INPUT_CAP
+
+    class Endless:
+        """Standard input that never ends: only a sized read returns."""
+
+        def read(self, size=None):
+            if size is None or size < 0:
+                raise AssertionError("unsized read of an endless input")
+            return " " * size
+
+    monkeypatch.setattr("sys.stdin", Endless())
+    assert main(["analyze", "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot read '-': longer than the cap of {INPUT_CAP} characters\n"
+
+
+def test_a_file_at_the_input_cap_loads_and_one_character_more_exits_2(tmp_path, capsys):
+    from cacgames.cli import main
+    from cacgames.gamefile import INPUT_CAP
+
+    text = serialize_game(cg.fixture("k3"))
+    path = tmp_path / "padded.json"
+    path.write_text(text + " " * (INPUT_CAP - len(text)))
+    assert serialize_game(cg.load_game(str(path))) == text
+    path.write_text(text + " " * (INPUT_CAP + 1 - len(text)))
+    assert main(["analyze", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert "longer than the cap" in captured.err
+
+
 def test_rationals_over_the_digit_limit_are_input_errors(tmp_path, capsys):
     from cacgames.cli import main
 

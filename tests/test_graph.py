@@ -50,6 +50,24 @@ def test_diagnostics_name_the_entry_position():
         WeightedGraph([1, 2], [(1, 2, 1), (1, 2)])
 
 
+def test_shown_renders_only_what_it_keeps():
+    from cacgames.rationals import shown
+
+    calls = 0
+
+    class Counted:
+        def __repr__(self):
+            nonlocal calls
+            calls += 1
+            return "c"
+
+    assert shown([Counted() for _ in range(10_000)]).startswith("[c, c, c")
+    assert calls <= 100
+    with pytest.raises(GameInputError) as info:
+        WeightedGraph([[0] * 10**6])
+    assert str(info.value) == "nodes[0]: unhashable node id [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, ..."
+
+
 def test_rejects_too_many_nodes():
     with pytest.raises(GameInputError, match="hard cap"):
         WeightedGraph(range(65))
