@@ -4,7 +4,8 @@ predicates, and best-response dynamics, all in exact rational arithmetic.
 
 The public names are imported from their home modules on first use
 (PEP 562), so ``import cacgames`` compiles only the modules a caller
-touches: loading a game file never imports ``structure`` or ``dynamics``.
+touches: loading a game file never imports ``structure``, ``dynamics``,
+``configsets``, ``simulation`` or ``restricted``.
 """
 
 from importlib import import_module
@@ -18,21 +19,21 @@ _HOMES = {
     ),
     "graph": ("NODE_CAP", "WeightedGraph"),
     "game": (
-        "ENUM_CAP", "Game", "best_response", "best_response_by_definition",
-        "consensus_equilibria", "deviations", "enumerate_nash", "is_nash",
-        "utility", "utility_by_definition",
+        "BRPath", "Game", "best_response", "best_response_by_definition",
+        "deviations", "is_nash", "utility", "utility_by_definition",
     ),
+    "configsets": (
+        "ENUM_CAP", "ReachabilityReport", "consensus_equilibria", "enumerate_nash",
+        "global_reachability", "reachability_from", "reachable_set",
+    ),
+    "simulation": ("Trajectory", "simulate"),
     "structure": (
         "CohesivenessReport", "IndecomposabilityReport", "PartitionWitness",
-        "RestrictedGame", "anticoordination_potential", "cohesiveness",
-        "coordination_potential", "decomposition_witnesses", "game_cohesiveness",
+        "cohesiveness", "decomposition_witnesses", "game_cohesiveness",
         "game_indecomposability", "indecomposability", "partition_certificate",
     ),
-    "dynamics": (
-        "BRPath", "ReachabilityReport", "Trajectory", "br_transitions",
-        "construct_consensus_path", "global_reachability", "reachability_from",
-        "reachable_set", "simulate", "validate_br_path",
-    ),
+    "restricted": ("RestrictedGame", "anticoordination_potential", "coordination_potential"),
+    "dynamics": ("br_transitions", "construct_consensus_path", "validate_br_path"),
     "fixtures": ("FIXTURES", "fixture", "fixture_names"),
     "gamefile": ("load_game", "parse_game", "serialize_game", "to_dot"),
     "generate": ("random_game",),

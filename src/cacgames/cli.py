@@ -24,13 +24,16 @@ from .errors import (
     SizeCapError,
 )
 from .fixtures import FIXTURES, fixture, fixture_names
-from .game import Game, _configurations, consensus_equilibria, enumerate_nash
+from .game import Game
 from .gamefile import load_game, serialize_game, to_dot
 from .rationals import as_rational, format_rational, shown
 
 SCHEMA_PREFIX = "cacgames"
 
 TRAP_LIST_CAP = 256
+# Configurations ``reach --from`` may close over in all: each source's
+# forward closure may visit all 2^n of them.
+REACH_WORK_CAP = 1 << 24
 
 
 def _resolve_game(source: str, r=None) -> Game:
@@ -101,6 +104,8 @@ def _emit(data) -> None:
 
 def _parse_pattern(game: Game, pattern: str) -> list:
     """Expand a 0/1/* configuration pattern into masks, ascending."""
+    from .configsets import _configurations
+
     if len(pattern) != game.n or any(c not in "01*" for c in pattern):
         raise GameInputError(
             f"pattern must be {game.n} characters of 0, 1 or *, got {shown(pattern)}"
@@ -118,7 +123,7 @@ def _parse_pattern(game: Game, pattern: str) -> list:
 def cmd_analyze(args) -> int:
     """Print the report's stages in order.  A stage whose scan hits a size cap
     holds a skipped object, and ``main`` reports the first cap with exit 2."""
-    from .dynamics import global_reachability
+    from .configsets import consensus_equilibria, enumerate_nash, global_reachability
     from .structure import game_cohesiveness, game_indecomposability
 
     game = _resolve_game(args.game, r=args.r)
@@ -182,15 +187,25 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_reach(args) -> int:
-    from .dynamics import global_reachability, reachability_from
+    from .configsets import (_check_cap, consensus_equilibria, enumerate_nash,
+                             global_reachability, reachability_from)
 
     game = _resolve_game(args.game, r=args.r)
+    if not args.all:
+        # the pattern, one closure's cap and the work of all of them are
+        # checked before any scan
+        sources = _parse_pattern(game, args.from_)
+        _check_cap(game.n)
+        if len(sources) << game.n > REACH_WORK_CAP:
+            raise SizeCapError(
+                f"{len(sources)} sources times 2^{game.n} configurations "
+                f"exceed the cap of {REACH_WORK_CAP}"
+            )
     target = enumerate_nash(game) if args.target == "nash" else consensus_equilibria(game)
     if args.all:
         report = global_reachability(game, target)
         _emit(_reach_json(game, report, args.target, len(target)))
         return 0
-    sources = _parse_pattern(game, args.from_)
     reports = [
         _reach_json(game, reachability_from(game, x0, target), args.target, len(target))
         for x0 in sources
@@ -200,7 +215,7 @@ def cmd_reach(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    from .dynamics import _check_run, simulate
+    from .simulation import _check_run, simulate
 
     if args.runs < 0:
         raise GameInputError("--runs must be non-negative")

@@ -10,22 +10,19 @@ at which the player's preference switches.  At an exact tie both actions are
 best responses, which is why all arithmetic is exact.
 
 Configurations are integer bitmasks over the graph's sorted node order
-(bit k is the action of ``graph.nodes[k]``).
+(bit k is the action of ``graph.nodes[k]``).  A ``BRPath`` is a sequence of
+single-player updates.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Set
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
-from .errors import GameInputError, SizeCapError
+from .errors import GameInputError
 from .graph import WeightedGraph, ZERO
 from .rationals import as_rational, shown
-
-# Players an exhaustive configuration scan may enumerate (2^ENUM_CAP states).
-ENUM_CAP = 20
 
 _BR_SETS = {1: frozenset((0,)), 2: frozenset((1,)), 3: frozenset((0, 1))}
 
@@ -249,233 +246,30 @@ def is_nash(game: Game, x: int) -> bool:
     return all(game._br_bits(k, x) >> (x >> k & 1) & 1 for k in range(game.n))
 
 
-def _check_cap(players: int) -> None:
-    if players > ENUM_CAP:
-        raise SizeCapError(
-            f"exhaustive scan over {players} players exceeds the cap of {ENUM_CAP}"
-        )
-
-
-def _configurations(base: int, free: int, positions=None):
-    """The configurations that agree with ``base`` outside the ``free`` bits
-    and whose free bits, read in ascending order, spell each of the ascending
-    ``positions`` (default: all, so the whole sub-cube, ascending).  ``base``
-    must have no bit inside ``free``.
-    """
-    # Deposit each position into the free bits, one table per position byte.
-    tables = []
-    bits = [1 << j for j in range(free.bit_length()) if free >> j & 1]
-    for c in range(0, len(bits), 8):
-        table = [0]
-        for bit in bits[c:c + 8]:
-            table += [x | bit for x in table]
-        tables.append(table)
-    for p in range(1 << len(bits)) if positions is None else positions:
-        x = base
-        for c, table in enumerate(tables):
-            x |= table[p >> 8 * c & 255]
-        yield x
-
-
-# -- configuration sets as bitsets ----------------------------------------
-#
-# A set of configurations of one sub-cube (see ``_configurations``) is an
-# int with one bit per configuration: bit p stands for the configuration
-# whose free bits, read in ascending order, spell p.  On the full cube bit p
-# is configuration p.  Every exhaustive scan works set-at-a-time on these.
-
-
-def _literals(free: int) -> dict:
-    """Free bit j -> the set of the sub-cube's configurations with bit j at 1.
-
-    Every scan makes its first cube-sized set here, so this checks the cap.
-    Each literal is one block of its periodic pattern, doubled until it
-    spans the cube.
-    """
-    _check_cap(free.bit_count())
-    width = 1 << free.bit_count()
-    out, half = {}, 1
-    for j in range(free.bit_length()):
-        if free >> j & 1:
-            pattern, span = ((1 << half) - 1) << half, half << 1
-            while span < width:
-                pattern |= pattern << span
-                span <<= 1
-            out[j] = pattern
-            half <<= 1
-    return out
-
-
-def _best_response_sets(game: Game, k: int, base: int, literals: dict) -> tuple:
-    """(ones, zeros): the sub-cube's configurations at which action 1, and
-    at which action 0, is a best response of player index k.
-
-    ``literals`` comes from ``_literals(free)``.  The configurations are
-    grouped by their integer 1-neighbour weight, one free neighbour at a
-    time, and each group is compared with ``r_k * w_k``; a tie lands in
-    both sets.  Weights are positive, so a group already above the
-    threshold, or below it even with every remaining free neighbour at 1,
-    is settled early.
-    """
-    s0, free_nbrs = 0, []
-    for j, w in game._nbrw[k]:
-        if j in literals:
-            free_nbrs.append((literals[j], w))
-        elif base >> j & 1:
-            s0 += w
-    t = game._thr_int[k]
-    rest = sum(w for _, w in free_nbrs)
-    above = below = 0
-    groups = {s0: (1 << (1 << len(literals))) - 1}
-    for lit, w in free_nbrs:
-        split = {}
-        for s, group in groups.items():
-            if s > t:
-                above |= group
-            elif s + rest < t:
-                below |= group
-            else:
-                hi = group & lit
-                if group ^ hi:
-                    split[s] = split.get(s, 0) | group ^ hi
-                if hi:
-                    split[s + w] = split.get(s + w, 0) | hi
-        groups = split
-        rest -= w
-    tie = 0
-    for s, group in groups.items():
-        if s > t:
-            above |= group
-        elif s < t:
-            below |= group
-        else:
-            tie = group
-    ones, zeros = above | tie, below | tie
-    return (ones, zeros) if game._sign[k] > 0 else (zeros, ones)
-
-
-def _own_best(game: Game, k: int, base: int, literals: dict) -> int:
-    """The sub-cube's configurations at which player index k's own action is
-    a best response."""
-    ones, zeros = _best_response_sets(game, k, base, literals)
-    if k in literals:
-        return ones & literals[k] | zeros & ~literals[k]
-    return ones if base >> k & 1 else zeros
-
-
-def _cube(game: Game) -> dict:
-    """The full cube's literals, made once per game."""
-    if game._cube is None:
-        game._cube = _literals((1 << game.n) - 1)
-    return game._cube
-
-
-def _stay(game: Game, k: int) -> int:
-    """The full cube's configurations x at which x's own bit k is a best
-    response of player index k.  Nash enumeration and both closures read it,
-    so it is built at most once per game, on first use."""
-    if game._stays[k] is None:
-        game._stays[k] = _own_best(game, k, 0, _cube(game))
-    return game._stays[k]
-
-
-_BYTE_BITS = tuple(tuple(b for b in range(8) if v >> b & 1) for v in range(256))
-
-
 def _check_config(game: Game, x, what: str) -> None:
     if not isinstance(x, int) or not 0 <= x < 1 << game.n:
         raise GameInputError(f"{what} configuration {shown(x)} is out of range")
 
 
-def _config_bits(game: Game, configs: Iterable, what: str) -> int:
-    """The checked, non-empty ``configs`` as a bitset over the full cube; the
-    cap is checked before the set is allocated."""
-    _check_cap(game.n)
-    data = bytearray(((1 << game.n) + 7) >> 3)
-    for x in configs:
-        _check_config(game, x, what)
-        data[x >> 3] |= 1 << (x & 7)
-    bits = int.from_bytes(data, "little")
-    if not bits:
-        raise GameInputError(f"{what} set must be non-empty")
-    return bits
+class BRPath(NamedTuple):
+    """A validated-by-construction sequence of single-player updates.
 
-
-def _positions(data: bytes):
-    """The set bits of the little-endian bitset ``data``, ascending, read one
-    byte at a time (shifting a big int once per member would be quadratic)."""
-    for i, byte in enumerate(data):
-        if byte:
-            i <<= 3
-            for b in _BYTE_BITS[byte]:
-                yield i + b
-
-
-class ConfigSet(Set):
-    """A read-only set of configurations held as the bytes of one full-cube
-    bitset, so a membership test reads one byte.
-
-    Compares and hashes equal to the ``frozenset`` of the same members;
-    iteration is ascending, and set operators return a ``frozenset``.
+    ``configs`` has one more entry than ``steps``; step k moves player
+    ``steps[k][0]`` to action ``steps[k][1]`` between ``configs[k]`` and
+    ``configs[k+1]``.  ``len`` counts steps, not fields, so the tuple
+    helpers ``_make`` and ``_replace`` do not apply; build a new path.
     """
 
-    __slots__ = ("_data", "_len")
+    steps: tuple
+    configs: tuple
 
-    def __init__(self, bits: int):
-        self._data = bits.to_bytes((bits.bit_length() + 7) >> 3, "little")
-        self._len = bits.bit_count()
+    @property
+    def start(self) -> int:
+        return self.configs[0]
+
+    @property
+    def end(self) -> int:
+        return self.configs[-1]
 
     def __len__(self) -> int:
-        return self._len
-
-    def __contains__(self, x) -> bool:
-        if not isinstance(x, int) or not 0 <= x >> 3 < len(self._data):
-            return False
-        return bool(self._data[x >> 3] >> (x & 7) & 1)
-
-    def __iter__(self):
-        return _positions(self._data)
-
-    @classmethod
-    def _from_iterable(cls, it) -> frozenset:
-        return frozenset(it)
-
-    __hash__ = Set._hash
-
-
-def _equilibria(game: Game, base: int, free: int, players) -> list:
-    """The configurations of one sub-cube (see ``_configurations``) at which
-    every one of ``players`` plays a best response, ascending.  The only
-    exhaustive equilibrium scan; ``_literals`` caps it by the number of
-    ``free`` bits.  On the full cube it reads the game's ``_stay`` sets.
-    """
-    full = free == (1 << game.n) - 1
-    literals = _cube(game) if full else _literals(free)
-    still = (1 << (1 << len(literals))) - 1
-    for k in players:
-        still &= _stay(game, k) if full else _own_best(game, k, base, literals)
-        if not still:
-            return []
-    return list(_configurations(base, free, ConfigSet(still)))
-
-
-def enumerate_nash(game: Game) -> list:
-    """All pure equilibria as masks, ascending."""
-    return _equilibria(game, 0, (1 << game.n) - 1, range(game.n))
-
-
-def consensus_equilibria(game: Game, action=None) -> list:
-    """Equilibria whose coordinating players all play ``action``.
-
-    ``action=None`` returns the union for both actions.  Only the
-    anti-coordinating players are enumerated, with the coordinating side
-    at consensus, so the scan is capped by their number alone.
-    """
-    if action not in (0, 1, None):
-        raise GameInputError(f"action must be 0, 1 or None, got {shown(action)}")
-    actions = (0, 1) if action is None else (action,)
-    found = set()
-    for a in actions:
-        base = game.coord_mask if a == 1 else 0
-        found.update(_equilibria(game, base, game.anti_mask, range(game.n)))
-    return sorted(found)
+        return len(self.steps)

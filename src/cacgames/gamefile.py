@@ -33,8 +33,8 @@ from .rationals import format_rational, shown
 ROLES = ("coordinating", "anticoordinating")
 
 # The longest input load_game reads, in characters.  serialize_game writes at
-# most 18,019,909 of them for 64 nodes, 2016 edges, p/q parts of 4300 digits
-# and two-digit ids, so 2^25 leaves about 3,790 for each of the 4096 ids.
+# most 33,552,581 of them, for 64 nodes, 2016 edges, p/q parts of 4300 digits
+# and ids of graph.ID_CAP characters.
 INPUT_CAP = 1 << 25
 
 

@@ -5,8 +5,8 @@ over the graph's sorted node order (bit k belongs to ``nodes[k]``), which
 caps graphs at 64 nodes.  All arithmetic is done with ``Fraction``; the
 graph never stores or returns floats.
 
-This module owns every check on node ids and edges: duplicate or
-unhashable ids, the node cap, unknown endpoints, self-loops, exact positive
+This module owns every check on node ids and edges: duplicate, unhashable
+or over-long ids, the node cap, unknown endpoints, self-loops, exact positive
 weights, and repeated or conflicting listings of a pair.  A diagnostic
 names the offending input entry by position, ``nodes[k]`` or ``edges[k]``,
 so for a game file it points at the file's entry.  Member lists are
@@ -16,6 +16,7 @@ checked by ``mask_of``.  Thresholds are checked by ``game._threshold_map``;
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from itertools import islice
 from typing import Iterable, Tuple
@@ -24,8 +25,21 @@ from .errors import GameInputError
 from .rationals import as_rational, shown
 
 NODE_CAP = 64
+# The longest int or string node id, in characters as a game file writes it
+# (``json.dumps``).  64 nodes, the 2016 edges of K64 and p/q parts of 4300
+# digits with every id this long take at most 2^25 characters, the input cap
+# of ``gamefile.load_game``, so every game written loads back.
+ID_CAP = 3794
 
 ZERO = Fraction(0)
+
+
+def _written_length(v) -> int:
+    """Characters a game file takes to write the int or string id ``v``."""
+    try:
+        return len(json.dumps(v))
+    except ValueError:  # an int past the digit limit
+        return ID_CAP + 1
 
 
 class WeightedGraph:
@@ -49,6 +63,10 @@ class WeightedGraph:
                 raise GameInputError(f"nodes[{k}]: unhashable node id {shown(v)}") from None
             if repeated:
                 raise GameInputError(f"nodes[{k}]: duplicate node id {shown(v)}")
+            if isinstance(v, (int, str)) and _written_length(v) > ID_CAP:
+                raise GameInputError(
+                    f"nodes[{k}]: node id {shown(v)} is longer than {ID_CAP} characters as written"
+                )
             seen.add(v)
         try:
             self._nodes: Tuple = tuple(sorted(node_list))

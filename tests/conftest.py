@@ -52,15 +52,15 @@ def knife_edge_game():
 def full_cube_builds(monkeypatch):
     """The player index of every full-cube best-response build, in call
     order: the builder's calls whose literals cover all of the game's
-    players.  Only ``cacgames.game`` calls the builder, so it is patched
+    players.  Only ``cacgames.configsets`` calls the builder, so it is patched
     there."""
     calls = []
-    builder = cg.game._best_response_sets
+    builder = cg.configsets._best_response_sets
 
     def counted(game, k, base, literals):
         if len(literals) == game.n:
             calls.append(k)
         return builder(game, k, base, literals)
 
-    monkeypatch.setattr(cg.game, "_best_response_sets", counted)
+    monkeypatch.setattr(cg.configsets, "_best_response_sets", counted)
     return calls

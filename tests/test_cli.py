@@ -61,7 +61,7 @@ def test_analyze_reports_reachability_of_consensus_set(capsys):
 
 
 def test_analyze_size_cap_gives_partial_report_and_exit_2(capsys, monkeypatch):
-    monkeypatch.setattr(cg.game, "ENUM_CAP", 10)
+    monkeypatch.setattr(cg.configsets, "ENUM_CAP", 10)
     code, out, err = run(capsys, "analyze", "fig1")
     assert code == 2
     report = json.loads(out)
@@ -131,19 +131,20 @@ def test_command_line_errors_exit_1_with_a_short_message(tmp_path, capsys):
     # argparse may wrap a help line after a hyphen
     help_text = re.sub(r"-\s+", "-", capsys.readouterr().out)
     assert "--runs" in help_text
-    assert all(name in help_text for name in cg.dynamics.SCHEDULERS)
+    assert all(name in help_text for name in cg.simulation.SCHEDULERS)
     # the engine refuses the scheduler before the game file is read
     code, out, err = run(capsys, "simulate", "nosuch.json", "--scheduler", "bogus")
     assert code == 1 and out == ""
-    assert err == f"error: unknown scheduler 'bogus'; pick one of {cg.dynamics.SCHEDULERS}\n"
+    assert err == f"error: unknown scheduler 'bogus'; pick one of {cg.simulation.SCHEDULERS}\n"
     # a value echoed from an option or a file is cut, whatever its size
     conflict = tmp_path / "conflict.json"
     conflict.write_text(json.dumps({
         "nodes": [{"id": v, "role": "coordinating", "threshold": "1/2"} for v in (1, 2)],
         "edges": [{"u": 1, "v": 2, "weight": d * 4000} for d in ("8", "9")],
     }))
-    # two disjoint coordinating pairs: cohesive, and decomposable into the pairs
-    ids = [c * 5000 for c in "abcd"]
+    # two disjoint coordinating pairs: cohesive, and decomposable into the
+    # pairs; each id is as long as a game file may write it
+    ids = [c * (cg.graph.ID_CAP - 2) for c in "abcd"]
     split = tmp_path / "split.json"
     split.write_text(cg.serialize_game(cg.Game(
         cg.WeightedGraph(ids, [(ids[0], ids[1], 1), (ids[2], ids[3], 1)]), ids, "1/2"
@@ -189,6 +190,17 @@ def test_reach_wildcard_sources(capsys):
     reports = run_json(capsys, "reach", "fig3", "--from", "11110000**", "--target", "nash")
     assert isinstance(reports, list) and len(reports) == 4
     assert all(not r["reached"] for r in reports)
+
+
+def test_reach_from_work_is_capped_before_any_scan(capsys, monkeypatch, full_cube_builds):
+    # fig3 has 10 players: 4 sources may close over 4 * 2^10 configurations
+    monkeypatch.setattr(cg.cli, "REACH_WORK_CAP", 4 << 10)
+    assert len(run_json(capsys, "reach", "fig3", "--from", "11110000**")) == 4
+    full_cube_builds.clear()
+    code, out, err = run(capsys, "reach", "fig3", "--from", "1111000***")
+    assert code == 2 and out == ""
+    assert err == "error: 8 sources times 2^10 configurations exceed the cap of 4096\n"
+    assert full_cube_builds == []  # neither the Nash scan nor a closure ran
 
 
 def test_reach_all_k3(capsys):
@@ -272,7 +284,7 @@ def test_simulate_step_budget_over_the_cap_exits_2(capsys):
     # the budget is checked before the first run, so --runs 0 refuses it too
     for runs in ("1", "0"):
         code, out, err = run(
-            capsys, "simulate", "pennies", "--max-steps", str(cg.dynamics.STEP_CAP + 1),
+            capsys, "simulate", "pennies", "--max-steps", str(cg.simulation.STEP_CAP + 1),
             "--runs", runs,
         )
         assert code == 2 and out == ""

@@ -108,7 +108,7 @@ def test_fig3_trap_closures_avoid_all_equilibria(games):
 
 
 def test_reachable_set_respects_cap(games, monkeypatch):
-    monkeypatch.setattr(cg.game, "ENUM_CAP", 5)
+    monkeypatch.setattr(cg.configsets, "ENUM_CAP", 5)
     with pytest.raises(SizeCapError):
         reachable_set(games["fig3"], 0)
 
@@ -609,7 +609,7 @@ def test_validator_rejects_corrupted_paths(games):
 def test_simulation_absorbs_immediately_at_equilibrium(games):
     fig3 = games["fig3"]
     x_star = fig3.mask_of_actions({i: 1 for i in range(1, 10)} | {10: 0})
-    for scheduler in cg.dynamics.SCHEDULERS:
+    for scheduler in cg.simulation.SCHEDULERS:
         traj = simulate(fig3, x_star, scheduler=scheduler, seed=0, max_steps=100)
         assert traj.status == "absorbed-at-NE"
         assert traj.activations <= fig3.n
@@ -617,7 +617,7 @@ def test_simulation_absorbs_immediately_at_equilibrium(games):
 
 def test_simulation_pennies_never_absorbs(games):
     pennies = games["pennies"]
-    for scheduler in cg.dynamics.SCHEDULERS:
+    for scheduler in cg.simulation.SCHEDULERS:
         for seed in range(5):
             traj = simulate(pennies, 0b11, scheduler=scheduler, seed=seed, max_steps=60)
             assert traj.status in ("cycle-detected", "step-cap")
@@ -706,7 +706,7 @@ def test_play_gains_match_the_best_responses(knife_edge_game):
     rng = random.Random(23)
     for game in _table_games(rng, knife_edge_game):
         for x in [0, (1 << game.n) - 1] + [rng.getrandbits(game.n) for _ in range(10)]:
-            play = cg.dynamics._Play(game, x)
+            play = cg.simulation._Play(game, x)
             for k in range(game.n):
                 code = game._br_bits(k, x)
                 assert (play.gain[k] > 0) == (not code >> (x >> k & 1) & 1), (game.n, x, k)
@@ -718,14 +718,14 @@ def test_flips_keep_the_gains_of_a_fresh_start(knife_edge_game):
     rng = random.Random(29)
     moves = 0
     for game in _table_games(rng, knife_edge_game):
-        play = cg.dynamics._Play(game, rng.getrandbits(game.n))
+        play = cg.simulation._Play(game, rng.getrandbits(game.n))
         for _ in range(200):
             movable = [k for k in range(game.n) if play.gain[k] >= 0]
             if not movable:
                 break
             play.flip(rng.choice(movable))
             moves += 1
-            fresh = cg.dynamics._Play(game, play.x)
+            fresh = cg.simulation._Play(game, play.x)
             assert (play.gain, play.restless) == (fresh.gain, fresh.restless)
     assert moves > 1000
 
@@ -800,7 +800,7 @@ def _simulate_by_rescan(game, x0, scheduler, seed, max_steps):
         elif not bits >> cur & 1:
             x ^= 1 << k
             configs.append(x)
-    return cg.dynamics.Trajectory(x0, tuple(configs), ticks, status, seed, scheduler)
+    return cg.simulation.Trajectory(x0, tuple(configs), ticks, status, seed, scheduler)
 
 
 def test_incremental_simulation_matches_a_full_rescan(knife_edge_game):
@@ -812,7 +812,7 @@ def test_incremental_simulation_matches_a_full_rescan(knife_edge_game):
     statuses = set()
     ties = 0
     for game in games:
-        for scheduler in cg.dynamics.SCHEDULERS:
+        for scheduler in cg.simulation.SCHEDULERS:
             for seed, max_steps in ((0, 0), (1, 3), (2, 400), (3, 2000)):
                 x0 = rng.getrandbits(game.n)
                 got = simulate(game, x0, scheduler, seed, max_steps)
@@ -831,9 +831,9 @@ def test_simulation_validates_inputs(games):
     with pytest.raises(GameInputError):
         simulate(games["pennies"], 0, max_steps=-1)
     with pytest.raises(SizeCapError, match="cap"):
-        simulate(games["pennies"], 0, max_steps=cg.dynamics.STEP_CAP + 1)
+        simulate(games["pennies"], 0, max_steps=cg.simulation.STEP_CAP + 1)
     k3 = games["k3"]
-    assert simulate(k3, k3.parse_bits("001"), max_steps=cg.dynamics.STEP_CAP).status == "absorbed-at-NE"
+    assert simulate(k3, k3.parse_bits("001"), max_steps=cg.simulation.STEP_CAP).status == "absorbed-at-NE"
 
 
 def test_zero_step_budget_reports_cap_unless_already_stable(games):

@@ -21,15 +21,14 @@ from cacgames import (
     utility,
     utility_by_definition,
 )
-from cacgames.game import (
+from cacgames.configsets import (
     _best_response_sets,
-    _cleared,
     _configurations,
     _equilibria,
     _literals,
     _stay,
-    _threshold_map,
 )
+from cacgames.game import _cleared, _threshold_map
 
 HALF = Fraction(1, 2)
 

@@ -181,6 +181,22 @@ def test_a_file_at_the_input_cap_loads_and_one_character_more_exits_2(tmp_path, 
     assert "longer than the cap" in captured.err
 
 
+def test_a_file_with_an_id_at_the_cap_loads_and_one_character_more_exits_1(tmp_path, capsys):
+    from cacgames.cli import main
+    from cacgames.graph import ID_CAP
+
+    at_cap = "v" * (ID_CAP - 2)
+    text = _file([_node("a"), _node(at_cap, role="anticoordinating")], [{"u": "a", "v": at_cap, "weight": "1"}])
+    game = parse_game(text)
+    assert serialize_game(parse_game(serialize_game(game))) == serialize_game(game)
+    path = tmp_path / "long-id.json"
+    path.write_text(text.replace(at_cap, at_cap + "v"))
+    assert main(["analyze", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: nodes[1]: node id 'vvv") and captured.err.count("\n") == 1
+
+
 def test_rationals_over_the_digit_limit_are_input_errors(tmp_path, capsys):
     from cacgames.cli import main
 

@@ -68,6 +68,23 @@ def test_shown_renders_only_what_it_keeps():
     assert str(info.value) == "nodes[0]: unhashable node id [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, ..."
 
 
+def test_node_ids_are_capped_as_a_game_file_writes_them():
+    from cacgames.graph import ID_CAP
+
+    at_cap = "x" * (ID_CAP - 2)  # a string id is written with its quotes
+    assert WeightedGraph([at_cap, "b"]).nodes == ("b", at_cap)
+    with pytest.raises(GameInputError) as info:
+        WeightedGraph(["a", at_cap + "x"])
+    shown_id = "'" + "x" * 40 + "'..."
+    assert str(info.value) == f"nodes[1]: node id {shown_id} is longer than {ID_CAP} characters as written"
+    with pytest.raises(GameInputError, match=r"^nodes\[0\]: node id"):
+        WeightedGraph(["\u00e9" * (ID_CAP // 6 + 1)])  # each written as a 6-character escape
+    WeightedGraph([-int("9" * (ID_CAP - 1))])  # a sign counts too
+    for over in (10 ** ID_CAP, 10 ** 5000):  # the second is past the digit limit
+        with pytest.raises(GameInputError, match=r"^nodes\[0\]: node id"):
+            WeightedGraph([over])
+
+
 def test_rejects_too_many_nodes():
     with pytest.raises(GameInputError, match="hard cap"):
         WeightedGraph(range(65))

@@ -13,7 +13,12 @@ import cacgames as cg
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 HEAVY = ("cacgames.structure", "cacgames.dynamics", "cacgames.cli",
-         "cacgames.fixtures", "cacgames.generate")
+         "cacgames.fixtures", "cacgames.generate", "cacgames.configsets",
+         "cacgames.simulation", "cacgames.restricted")
+# What every command compiles besides ``cacgames.cli``, which runs as
+# ``__main__``: the modules that load a game, and the fixture table.
+LOAD_PATH = {"cacgames", "cacgames.errors", "cacgames.rationals", "cacgames.graph",
+             "cacgames.game", "cacgames.gamefile", "cacgames.fixtures"}
 
 
 def _loaded(code: str, *argv) -> list:
@@ -36,16 +41,18 @@ def test_loading_a_game_file_compiles_no_analysis_module(tmp_path):
     assert not set(HEAVY) & set(loaded)
 
 
-@pytest.mark.parametrize("argv, dynamics, structure", [
-    (["gen", "--nodes", "4"], False, False),
-    (["export", "k3"], False, False),
-    (["simulate", "fig3", "--runs", "2"], True, False),
-    (["reach", "fig3", "--all"], True, False),
-    (["reach", "k3", "--from", "0*1"], True, False),
-    (["analyze", "k3"], True, True),
-    (["path", "k3", "--from", "000", "--mode", "weak"], True, True),
+@pytest.mark.parametrize("argv, modules", [
+    (["gen", "--nodes", "4"], {"generate"}),
+    (["export", "k3"], set()),
+    (["simulate", "fig3", "--runs", "2"], {"simulation"}),
+    (["reach", "fig3", "--all"], {"configsets"}),
+    (["reach", "k3", "--from", "0*1"], {"configsets"}),
+    (["analyze", "k3"], {"structure", "configsets"}),
+    (["path", "k3", "--from", "000", "--mode", "weak"], {"structure", "dynamics", "simulation"}),
+    # a --from pattern is expanded by the configuration-set engine
+    (["simulate", "k3", "--from", "0*1"], {"simulation", "configsets"}),
 ])
-def test_each_command_compiles_only_what_it_runs(argv, dynamics, structure):
+def test_each_command_compiles_only_what_it_runs(argv, modules):
     # runpy is what ``python -m cacgames.cli`` runs
     code = (
         "import runpy, sys\n"
@@ -53,8 +60,7 @@ def test_each_command_compiles_only_what_it_runs(argv, dynamics, structure):
         "except SystemExit as exc:\n    assert exc.code == 0, exc.code"
     )
     loaded = _loaded(code, *argv)
-    assert ("cacgames.dynamics" in loaded) == dynamics
-    assert ("cacgames.structure" in loaded) == structure
+    assert set(loaded) == LOAD_PATH | {f"cacgames.{name}" for name in modules}
 
 
 def test_every_public_name_resolves_to_its_home_module():
@@ -73,10 +79,11 @@ def test_star_import_binds_every_public_name():
 
 
 def test_submodules_resolve_and_unknown_names_do_not():
-    for module in ("errors", "graph", "game", "structure", "dynamics", "fixtures",
-                   "gamefile", "generate", "rationals", "cli"):
+    for module in ("errors", "graph", "game", "configsets", "simulation", "structure",
+                   "restricted", "dynamics", "fixtures", "gamefile", "generate", "rationals",
+                   "cli"):
         assert getattr(cg, module) is importlib.import_module(f"cacgames.{module}")
-    assert cg.game.ENUM_CAP == cg.ENUM_CAP
+    assert cg.configsets.ENUM_CAP == cg.ENUM_CAP
     with pytest.raises(AttributeError, match="no attribute 'nash'"):
         cg.nash
     assert not hasattr(cg, "_cleared")

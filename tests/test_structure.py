@@ -543,7 +543,7 @@ def test_potential_identity_covers_degenerate_nodes(games):
 
 
 def test_cleared_coefficient_matches_modified_threshold():
-    from cacgames.structure import _own_side
+    from cacgames.restricted import _own_side
 
     rng = random.Random(41)
     for _ in range(20):
@@ -590,8 +590,8 @@ def test_restricted_nash_everything_when_side_is_edgeless():
 
 def test_restricted_nash_is_capped_by_the_moving_side(games, monkeypatch):
     fig3 = games["fig3"]
-    monkeypatch.setattr(cg.game, "ENUM_CAP", len(fig3.anticoordinating))
-    assert len(fig3.coordinating) > cg.game.ENUM_CAP
+    monkeypatch.setattr(cg.configsets, "ENUM_CAP", len(fig3.anticoordinating))
+    assert len(fig3.coordinating) > cg.configsets.ENUM_CAP
     with pytest.raises(SizeCapError, match="exhaustive scan over 9 players"):
         RestrictedGame(fig3, "coordinating", 0).nash()
     view = RestrictedGame(fig3, "anticoordinating", fig3.coord_mask)
