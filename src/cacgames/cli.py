@@ -102,19 +102,23 @@ def _emit(data) -> None:
     print(json.dumps(data, indent=2))
 
 
-def _parse_pattern(game: Game, pattern: str) -> list:
-    """Expand a 0/1/* configuration pattern into masks, ascending."""
-    from .configsets import _configurations
-
+def _parse_pattern(game: Game, pattern: str) -> tuple:
+    """A 0/1/* configuration pattern as its sub-cube ``(base, free)``."""
     if len(pattern) != game.n or any(c not in "01*" for c in pattern):
         raise GameInputError(
             f"pattern must be {game.n} characters of 0, 1 or *, got {shown(pattern)}"
         )
-    if pattern.count("*") > 16:
-        raise SizeCapError("too many wildcards (limit 16)")
-    base = sum(1 << k for k, c in enumerate(pattern) if c == "1")
-    free = sum(1 << k for k, c in enumerate(pattern) if c == "*")
-    return list(_configurations(base, free))
+    return (game.parse_bits(pattern.replace("*", "0")),
+            game.parse_bits(pattern.replace("1", "0").replace("*", "1")))
+
+
+def _sub_cube(base: int, free: int):
+    """The configurations of the sub-cube ``(base, free)`` in ascending
+    order, then again from the lowest, without end."""
+    s = 0
+    while True:
+        yield base | s
+        s = (s - free) & free
 
 
 # -- subcommands ---------------------------------------------------------
@@ -194,11 +198,12 @@ def cmd_reach(args) -> int:
     if not args.all:
         # the pattern, one closure's cap and the work of all of them are
         # checked before any scan
-        sources = _parse_pattern(game, args.from_)
+        base, free = _parse_pattern(game, args.from_)
+        sources = 1 << free.bit_count()
         _check_cap(game.n)
-        if len(sources) << game.n > REACH_WORK_CAP:
+        if sources << game.n > REACH_WORK_CAP:
             raise SizeCapError(
-                f"{len(sources)} sources times 2^{game.n} configurations "
+                f"{sources} sources times 2^{game.n} configurations "
                 f"exceed the cap of {REACH_WORK_CAP}"
             )
     target = enumerate_nash(game) if args.target == "nash" else consensus_equilibria(game)
@@ -208,7 +213,7 @@ def cmd_reach(args) -> int:
         return 0
     reports = [
         _reach_json(game, reachability_from(game, x0, target), args.target, len(target))
-        for x0 in sources
+        for x0 in islice(_sub_cube(base, free), sources)
     ]
     _emit(reports[0] if len(reports) == 1 else reports)
     return 0
@@ -221,16 +226,10 @@ def cmd_simulate(args) -> int:
         raise GameInputError("--runs must be non-negative")
     _check_run(args.scheduler, args.max_steps)
     game = _resolve_game(args.game, r=args.r)
-    if args.from_ is not None:
-        starts = _parse_pattern(game, args.from_)
-    else:
-        starts = None
+    starts = None if args.from_ is None else _sub_cube(*_parse_pattern(game, args.from_))
     for run in range(args.runs):
         seed = args.seed + run
-        if starts is None:
-            x0 = random.Random(seed).getrandbits(game.n)
-        else:
-            x0 = starts[run % len(starts)]
+        x0 = random.Random(seed).getrandbits(game.n) if starts is None else next(starts)
         traj = simulate(
             game,
             x0,

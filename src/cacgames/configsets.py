@@ -23,11 +23,10 @@ def _check_cap(players: int) -> None:
         )
 
 
-def _configurations(base: int, free: int, positions=None):
+def _configurations(base: int, free: int, positions):
     """The configurations that agree with ``base`` outside the ``free`` bits
     and whose free bits, read in ascending order, spell each of the ascending
-    ``positions`` (default: all, so the whole sub-cube, ascending).  ``base``
-    must have no bit inside ``free``.
+    ``positions``.  ``base`` must have no bit inside ``free``.
     """
     # Deposit each position into the free bits, one table per position byte.
     tables = []
@@ -37,7 +36,7 @@ def _configurations(base: int, free: int, positions=None):
         for bit in bits[c:c + 8]:
             table += [x | bit for x in table]
         tables.append(table)
-    for p in range(1 << len(bits)) if positions is None else positions:
+    for p in positions:
         x = base
         for c, table in enumerate(tables):
             x |= table[p >> 8 * c & 255]

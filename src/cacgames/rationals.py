@@ -10,7 +10,7 @@ import re
 import reprlib
 from fractions import Fraction
 
-from .errors import GameInputError
+from .errors import GameInputError, SizeCapError
 
 _RATIONAL_RE = re.compile(r"([+-]?\d+)(?:\s*/\s*(\d+))?")
 
@@ -70,4 +70,9 @@ def as_rational(value, what: str = "value") -> Fraction:
 
 def format_rational(value: Fraction) -> str:
     """Render a Fraction as "p" or "p/q" (lowest terms, positive q)."""
-    return str(value)
+    try:
+        return str(value)
+    except ValueError:  # a part over Python's digit limit
+        raise SizeCapError(
+            "cannot write a rational with a part over Python's digit limit"
+        ) from None

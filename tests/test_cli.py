@@ -124,7 +124,7 @@ def test_command_line_errors_exit_1_with_a_short_message(tmp_path, capsys):
     path.write_text(cg.serialize_game(game))
     code, out, err = run(capsys, "reach", str(path), "--from", "*" * 17, "--target", "consensus")
     assert code == 2 and out == ""
-    assert err == "error: too many wildcards (limit 16)\n"
+    assert err == "error: 131072 sources times 2^17 configurations exceed the cap of 16777216\n"
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--help"])
     assert exc.value.code == 0
@@ -339,6 +339,19 @@ def test_simulate_fig3_trap_pattern(capsys):
     lines = [json.loads(line) for line in out.splitlines()]
     assert len(lines) == 20
     assert sum(line["status"] == "absorbed-at-NE" for line in lines) == 0
+    # the runs cycle through the pattern's configurations, ascending
+    starts = ["1111000000", "1111000010", "1111000001", "1111000011"]
+    assert [line["start"] for line in lines] == starts * 5
+
+
+def test_simulate_from_a_pattern_of_64_wildcards(tmp_path, capsys):
+    game = cg.Game(cg.WeightedGraph(range(1, 65)), range(1, 65), "1/2")
+    path = tmp_path / "wide.json"
+    path.write_text(cg.serialize_game(game))
+    code, out, err = run(capsys, "simulate", str(path), "--from", "*" * 64, "--runs", "3")
+    assert code == 0, err
+    starts = [json.loads(line)["start"] for line in out.splitlines()]
+    assert starts == ["0" * 64, "1" + "0" * 63, "01" + "0" * 62]
 
 
 def test_simulate_fig5_absorbs_at_equilibria(capsys):

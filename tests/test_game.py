@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -21,6 +22,7 @@ from cacgames import (
     utility,
     utility_by_definition,
 )
+from cacgames.cli import _sub_cube
 from cacgames.configsets import (
     _best_response_sets,
     _configurations,
@@ -260,7 +262,9 @@ def test_configurations_walk_one_sub_cube_ascending():
         free = rng.getrandbits(n)
         base = rng.getrandbits(n) & ~free
         expected = [x for x in range(1 << n) if x & ~free == base]
-        assert list(_configurations(base, free)) == expected
+        # the CLI's walk runs through the sub-cube and then wraps to base
+        assert list(islice(_sub_cube(base, free), len(expected) + 1)) == expected + [base]
+        assert list(_configurations(base, free, range(len(expected)))) == expected
 
 
 def test_bitset_scans_match_the_scalar_oracles(knife_edge_game):
@@ -283,7 +287,7 @@ def test_bitset_scans_match_the_scalar_oracles(knife_edge_game):
         for free in ((1 << n) - 1, rng.getrandbits(n), rng.getrandbits(n)):
             base = rng.getrandbits(n) & ~free
             literals = _literals(free)
-            configs = list(_configurations(base, free))
+            configs = list(_configurations(base, free, range(1 << free.bit_count())))
             for k, node in enumerate(game.nodes):
                 ones, zeros = _best_response_sets(game, k, base, literals)
                 assert ones | zeros == (1 << len(configs)) - 1

@@ -232,6 +232,29 @@ def test_rationals_over_the_digit_limit_are_input_errors(tmp_path, capsys):
     assert len(str(info.value)) < 200
 
 
+def test_a_rational_too_long_to_write_is_a_size_cap(tmp_path, capsys):
+    from cacgames.cli import main
+
+    # every part is within the digit limit, but node 1's required weight
+    # (p + q) / (2pq) has about 8600 digits
+    p, q = 10**4299 + 1, 10**4299 + 3
+    path = tmp_path / "long-required.json"
+    path.write_text(_file(
+        [_node(1), _node(2, role="anticoordinating"), _node(3, role="anticoordinating")],
+        [{"u": 1, "v": 2, "weight": f"1/{p}"}, {"u": 1, "v": 3, "weight": f"1/{q}"}],
+    ))
+    assert main(["analyze", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: cannot write a rational with a part over Python's digit limit\n"
+    # the library accepts a weight it cannot write; SizeCapError, not its
+    # base class ValueError, is the refusal
+    game = cg.Game(cg.WeightedGraph([1, 2], [(1, 2, Fraction(10**5000 + 1, 10**5000))]), [1], "1/2")
+    for write in (serialize_game, to_dot):
+        with pytest.raises(cg.SizeCapError):
+            write(game)
+
+
 def test_parse_reports_json_syntax_position():
     with pytest.raises(GameInputError, match="line 1"):
         parse_game("{not json")
