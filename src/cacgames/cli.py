@@ -31,9 +31,6 @@ from .rationals import as_rational, format_rational, shown
 SCHEMA_PREFIX = "cacgames"
 
 TRAP_LIST_CAP = 256
-# Configurations ``reach --from`` may close over in all: each source's
-# forward closure may visit all 2^n of them.
-REACH_WORK_CAP = 1 << 24
 
 
 def _resolve_game(source: str, r=None) -> Game:
@@ -200,12 +197,7 @@ def cmd_reach(args) -> int:
         # checked before any scan
         base, free = _parse_pattern(game, args.from_)
         sources = 1 << free.bit_count()
-        _check_cap(game.n)
-        if sources << game.n > REACH_WORK_CAP:
-            raise SizeCapError(
-                f"{sources} sources times 2^{game.n} configurations "
-                f"exceed the cap of {REACH_WORK_CAP}"
-            )
+        _check_cap(game.n, sources)
     target = enumerate_nash(game) if args.target == "nash" else consensus_equilibria(game)
     if args.all:
         report = global_reachability(game, target)
@@ -227,6 +219,8 @@ def cmd_simulate(args) -> int:
     _check_run(args.scheduler, args.max_steps)
     game = _resolve_game(args.game, r=args.r)
     starts = None if args.from_ is None else _sub_cube(*_parse_pattern(game, args.from_))
+    # a seed past Python's digit limit cannot be echoed: refuse before run 0
+    format_rational(args.seed + args.runs - 1)
     for run in range(args.runs):
         seed = args.seed + run
         x0 = random.Random(seed).getrandbits(game.n) if starts is None else next(starts)

@@ -1,6 +1,6 @@
 """Sets of configurations as bitsets, and every exhaustive scan over them:
 Nash and consensus enumeration, and the closures behind reachability with
-their shortest witnesses.  ``ENUM_CAP`` bounds them all.
+their shortest witnesses.  ``_check_cap`` bounds them all.
 """
 
 from __future__ import annotations
@@ -14,12 +14,19 @@ from .rationals import shown
 
 # Players an exhaustive configuration scan may enumerate (2^ENUM_CAP states).
 ENUM_CAP = 20
+# Configurations one closure per source may visit in all (2^n per source).
+REACH_WORK_CAP = 1 << 24
 
 
-def _check_cap(players: int) -> None:
+def _check_cap(players: int, sources: int = 1) -> None:
     if players > ENUM_CAP:
         raise SizeCapError(
             f"exhaustive scan over {players} players exceeds the cap of {ENUM_CAP}"
+        )
+    if sources << players > REACH_WORK_CAP:
+        raise SizeCapError(
+            f"{sources} sources times 2^{players} configurations "
+            f"exceed the cap of {REACH_WORK_CAP}"
         )
 
 
@@ -276,20 +283,19 @@ def _closure(game: Game, sources: int, backward: bool) -> tuple:
 def _walk(game: Game, layers, x: int, backward: bool) -> BRPath:
     """Shortest path between ``x`` and the closure's sources, read from the
     layers: from ``x`` down, each move is the lowest player index that drops
-    one layer.  The path is returned in the direction of play.
+    one layer.  The path is returned in the direction of play.  A flip of
+    bit k is a best-response move exactly when the configuration it arrives
+    at (y from x backward, x from y forward) is in stay_k.
     """
-    # The mover's action: over a backward closure x moves on to y, so the
-    # action is the one x switches to; over a forward closure y moved into x.
-    along = 1 if backward else 0
     configs, steps = [x], []
     depth = next(d for d, layer in enumerate(layers) if layer >> x & 1)
     for layer in reversed(layers[:depth]):
         for k in range(game.n):
             y = x ^ (1 << k)
-            action = (x >> k & 1) ^ along
-            if game._br_bits(k, x) >> action & 1 and layer >> y & 1:
+            after = y if backward else x
+            if layer >> y & 1 and _stay(game, k) >> after & 1:
                 break
-        steps.append((game.nodes[k], action))
+        steps.append((game.nodes[k], after >> k & 1))
         x = y
         configs.append(x)
     if not backward:

@@ -15,6 +15,7 @@ from .errors import GuaranteeViolationError, PathValidationError, PreconditionEr
 from .game import BRPath, Game, _check_config
 from .rationals import shown
 from .simulation import _Play
+from .structure import _check_mode, game_cohesiveness, game_indecomposability
 
 
 def validate_br_path(game: Game, path: BRPath) -> None:
@@ -69,21 +70,6 @@ def _consensus_value(game: Game, x: int) -> Optional[int]:
     return None
 
 
-# The two structure predicates ``construct_consensus_path`` checks, imported
-# on first call so that simulations and closures never compile ``structure``.
-# They stay module names because ``perfbench/tracing.py`` times them here.
-def game_cohesiveness(game: Game, toward: int = 1):
-    from .structure import game_cohesiveness
-
-    return game_cohesiveness(game, toward)
-
-
-def game_indecomposability(game: Game, mode: str = "strict"):
-    from .structure import game_indecomposability
-
-    return game_indecomposability(game, mode)
-
-
 def construct_consensus_path(game: Game, x0: int, mode: str = "strict") -> BRPath:
     """Build a best-response path from ``x0`` to an equilibrium whose
     coordinating players are at consensus.
@@ -102,8 +88,6 @@ def construct_consensus_path(game: Game, x0: int, mode: str = "strict") -> BRPat
     Weak indecomposability gives no such guarantee: there a stalled or
     revisiting construction raises PreconditionError.
     """
-    from .structure import _check_mode
-
     _check_mode(mode)
     _check_config(game, x0, "start")
     coh_one = game_cohesiveness(game, toward=1).holds

@@ -194,7 +194,7 @@ def test_reach_wildcard_sources(capsys):
 
 def test_reach_from_work_is_capped_before_any_scan(capsys, monkeypatch, full_cube_builds):
     # fig3 has 10 players: 4 sources may close over 4 * 2^10 configurations
-    monkeypatch.setattr(cg.cli, "REACH_WORK_CAP", 4 << 10)
+    monkeypatch.setattr(cg.configsets, "REACH_WORK_CAP", 4 << 10)
     assert len(run_json(capsys, "reach", "fig3", "--from", "11110000**")) == 4
     full_cube_builds.clear()
     code, out, err = run(capsys, "reach", "fig3", "--from", "1111000***")
@@ -289,6 +289,16 @@ def test_simulate_step_budget_over_the_cap_exits_2(capsys):
         )
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 200
+
+
+def test_simulate_refuses_a_seed_it_cannot_write_before_any_run(capsys):
+    # the second run's seed has 4301 digits, past Python's digit limit
+    code, out, err = run(capsys, "simulate", "pennies", "--seed", "9" * 4300, "--runs", "2")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 200
+    for seed, runs in (("9" * 4300, "1"), ("-" + "9" * 4300, "3")):
+        code, out, _ = run(capsys, "simulate", "pennies", "--seed", seed, "--runs", runs)
+        assert code == 0 and out.count("\n") == int(runs)
 
 
 def test_simulate_negative_budget_exits_1_with_no_runs(capsys):

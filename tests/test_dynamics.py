@@ -436,6 +436,22 @@ def test_path_k3_mode_dependence(games):
     assert is_nash(k3, path.end)
 
 
+def test_path_calls_the_structure_predicates_by_their_dynamics_names(games, monkeypatch):
+    # perfbench/tracing.py times the predicates by patching these names
+    assert cg.dynamics.game_cohesiveness is cg.structure.game_cohesiveness
+    assert cg.dynamics.game_indecomposability is cg.structure.game_indecomposability
+    modes = []
+
+    def counting(game, mode="strict"):
+        modes.append(mode)
+        return cg.structure.game_indecomposability(game, mode)
+
+    monkeypatch.setattr(cg.dynamics, "game_indecomposability", counting)
+    fig5 = games["fig5"]
+    construct_consensus_path(fig5, fig5.mask_of_ones([1, 2, 3, 7, 9]), mode="weak")
+    assert modes == ["weak"]
+
+
 def test_weak_path_without_a_guarantee_is_a_precondition_failure(weak_only_game):
     game = weak_only_game
     assert cg.game_indecomposability(game, "weak").holds
