@@ -841,6 +841,69 @@ def test_incremental_simulation_matches_a_full_rescan(knife_edge_game):
     assert ties > 1000  # coin flips that switched a tied player
 
 
+def _switch_gain(game, k, x):
+    """What player k gains by switching its action in ``x``, on the game's
+    integer scale, summed afresh from the integer tables."""
+    margin = sum(w for j, w in game._nbrw[k] if x >> j & 1) - game._thr_int[k]
+    return -game._sign[k] * margin if x >> k & 1 else game._sign[k] * margin
+
+
+def _simulate_by_reference(game, x0, scheduler, seed, max_steps):
+    """``simulate`` as a scalar tick loop with no gain table: every player's
+    best response from ``_br_bits`` on every tick, greedy's gains summed
+    afresh, and the same draws from the seeded stream in the same order."""
+    getrandbits = random.Random(seed).getrandbits
+    n = game.n
+    x, configs, ticks = x0, [x0], 0
+    seen = None if scheduler == "uniform-random" else set()
+    while True:
+        codes = [game._br_bits(k, x) for k in range(n)]
+        restless = [k for k in range(n) if not codes[k] >> (x >> k & 1) & 1]
+        if not restless:
+            status = "absorbed-at-NE"
+            break
+        if ticks >= max_steps:
+            status = "step-cap"
+            break
+        if scheduler == "round-robin":
+            k = ticks % n
+        elif scheduler == "uniform-random":
+            k = getrandbits(n.bit_length())
+            while k >= n:
+                k = getrandbits(n.bit_length())
+        else:
+            k = max(restless, key=lambda j: (_switch_gain(game, j, x), -j))
+        if seen is not None:
+            if (x, k) in seen:
+                status = "cycle-detected"
+                break
+            seen.add((x, k))
+        ticks += 1
+        if codes[k] == 3:
+            seen = None
+            if getrandbits(1):
+                x ^= 1 << k
+                configs.append(x)
+        elif k in restless:
+            x ^= 1 << k
+            configs.append(x)
+    return cg.simulation.Trajectory(x0, tuple(configs), ticks, status, seed, scheduler)
+
+
+def test_simulation_matches_a_scalar_reference_run(knife_edge_game):
+    rng = random.Random(37)
+    statuses = set()
+    for game in _table_games(rng, knife_edge_game):
+        for scheduler in cg.simulation.SCHEDULERS:
+            for seed, max_steps in ((0, 0), (1, 7), (2, 300), (3, 1500)):
+                x0 = rng.getrandbits(game.n)
+                got = simulate(game, x0, scheduler, seed, max_steps)
+                assert got == _simulate_by_reference(game, x0, scheduler, seed, max_steps), (
+                    game.n, scheduler, seed, max_steps)
+                statuses.add((scheduler, got.status))
+    assert len(statuses) == 8  # every status under every scheduler that can give it
+
+
 def test_simulation_validates_inputs(games):
     with pytest.raises(GameInputError):
         simulate(games["pennies"], 0, scheduler="alphabetical")
