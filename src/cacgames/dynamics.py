@@ -120,9 +120,9 @@ def construct_consensus_path(game: Game, x0: int, mode: str = "strict") -> BRPat
         return min((k for k in play.restless if game._sign[k] == side), default=None)
 
     def move(k: int) -> None:
-        play.flip(k)
-        steps.append((game.nodes[k], play.x >> k & 1))
-        configs.append(play.x)
+        x = play.flip(k)
+        steps.append((game.nodes[k], x >> k & 1))
+        configs.append(x)
 
     def coordinating_phase(prefer: int) -> None:
         # Walk until the coordinating side is both at consensus and free of

@@ -18,20 +18,22 @@ STEP_CAP = 10**6
 class _Play:
     """The best-response state of one walk, kept up to date move by move.
 
-    ``gain[k]`` is what player k gains by switching its action in ``x``, on
-    the game's integer scale; ``gain[k] == 0`` is an exact tie.  ``restless``
-    holds the players with a positive gain, so ``x`` is an equilibrium exactly
-    when it is empty.  Only ``flip`` changes the state.
+    ``bits`` lists the actions of ``x``, one per player.  ``gain[k]`` is what
+    player k gains by switching its action, on the game's integer scale;
+    ``gain[k] == 0`` is an exact tie.  ``restless`` holds the players with a
+    positive gain, so ``x`` is an equilibrium exactly when it is empty.  Only
+    ``flip`` changes the state.
     """
 
-    __slots__ = ("x", "gain", "restless", "_nbrsw")
+    __slots__ = ("x", "bits", "gain", "restless", "_nbrsw")
 
     def __init__(self, game: Game, x: int) -> None:
         self.x, self._nbrsw = x, game._nbrsw
+        self.bits = bits = [x >> k & 1 for k in range(game.n)]
         # Margins (gain of playing 1 over 0): at the all-zero state, then one
         # row per player at 1; a player at 1 gains the negated margin.
         self.gain = gain = [-s * t for s, t in zip(game._sign, game._thr_int)]
-        ones = [k for k in range(game.n) if x >> k & 1]
+        ones = [k for k, b in enumerate(bits) if b]
         for j in ones:
             for k, sw in game._nbrsw[j]:
                 gain[k] += sw
@@ -39,21 +41,23 @@ class _Play:
             gain[k] = -gain[k]
         self.restless = {k for k, g in enumerate(gain) if g > 0}
 
-    def flip(self, k: int) -> None:
-        """Switch player k, whose gain is not negative.  Only its neighbours'
-        gains move; k's own gain changes sign, so it is at rest after."""
+    def flip(self, k: int) -> int:
+        """Switch player k, whose gain is not negative, and return the new
+        state.  Only its neighbours' gains move; k's own gain changes sign,
+        so it is at rest after."""
         self.x = x = self.x ^ 1 << k
-        gain, restless = self.gain, self.restless
+        bits, gain, restless = self.bits, self.gain, self.restless
+        bits[k] = b = bits[k] ^ 1
         gain[k] = -gain[k]
         restless.discard(k)
-        # Neighbour j gains sign_j * w when its bit differs from k's new one.
-        differs = ~x if x >> k & 1 else x
+        # Neighbour j gains sign_j * w when its action differs from k's new one.
         for j, sw in self._nbrsw[k]:
-            g = gain[j] = gain[j] + sw if differs >> j & 1 else gain[j] - sw
+            g = gain[j] = gain[j] + sw if bits[j] != b else gain[j] - sw
             if g > 0:
                 restless.add(j)
             else:
                 restless.discard(j)
+        return x
 
 
 class Trajectory(NamedTuple):
@@ -107,10 +111,13 @@ def simulate(
     uniform = scheduler == "uniform-random"
     play = _Play(game, x0)
     gain, restless, flip = play.gain, play.restless, play.flip
+    x = x0
     configs = [x0]
     ticks = 0
     # (state, player) pairs while the run is deterministic: round-robin's and
     # greedy's next pair is a function of the last, so a repeat is a cycle.
+    # Each pair is one int: greedy's player is a function of the state, so
+    # its key is the state alone; round-robin's is ``x * n + k``.
     seen = None if uniform else set()
     while True:
         if not restless:
@@ -132,10 +139,11 @@ def simulate(
                 if gain[j] > top or gain[j] == top and j < k:
                     k, top = j, gain[j]
         if seen is not None:
-            if (play.x, k) in seen:
+            key = x * n + k if round_robin else x
+            if key in seen:
                 status = "cycle-detected"
                 break
-            seen.add((play.x, k))
+            seen.add(key)
         ticks += 1
         if gain[k] == 0:
             seen = None
@@ -143,6 +151,6 @@ def simulate(
                 continue
         elif k not in restless:
             continue
-        flip(k)
-        configs.append(play.x)
+        x = flip(k)
+        configs.append(x)
     return Trajectory(x0, tuple(configs), ticks, status, seed, scheduler)

@@ -728,6 +728,7 @@ def test_play_gains_match_the_best_responses(knife_edge_game):
                 assert (play.gain[k] > 0) == (not code >> (x >> k & 1) & 1), (game.n, x, k)
                 assert (play.gain[k] == 0) == (code == 3), (game.n, x, k)
             assert play.restless == {k for k in range(game.n) if play.gain[k] > 0}
+            assert play.bits == [play.x >> k & 1 for k in range(game.n)]
 
 
 def test_flips_keep_the_gains_of_a_fresh_start(knife_edge_game):
@@ -739,8 +740,9 @@ def test_flips_keep_the_gains_of_a_fresh_start(knife_edge_game):
             movable = [k for k in range(game.n) if play.gain[k] >= 0]
             if not movable:
                 break
-            play.flip(rng.choice(movable))
+            assert play.flip(rng.choice(movable)) == play.x
             moves += 1
+            assert play.bits == [play.x >> k & 1 for k in range(game.n)]
             fresh = cg.simulation._Play(game, play.x)
             assert (play.gain, play.restless) == (fresh.gain, fresh.restless)
     assert moves > 1000
