@@ -303,26 +303,15 @@ class _Parser(argparse.ArgumentParser):
         raise GameInputError(message if len(message) <= 200 else message[:200] + "...")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="cacgames",
-        description="Exact analysis of coordination/anti-coordination games on graphs.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("analyze", help="structural predicates, equilibria, reachability")
-    _add_game_argument(p)
-    p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("reach", help="best-response reachability of an equilibrium set")
+def _reach_options(p) -> None:
     _add_game_argument(p)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--from", dest="from_", metavar="BITS", help="source configuration (0/1/*, ascending node id)")
     group.add_argument("--all", action="store_true", help="check every configuration")
     p.add_argument("--target", choices=("nash", "consensus"), default="nash")
-    p.set_defaults(func=cmd_reach)
 
-    p = sub.add_parser("simulate", help="asynchronous best-response runs")
+
+def _simulate_options(p) -> None:
     _add_game_argument(p)
     p.add_argument("--from", dest="from_", metavar="BITS", default=None,
                    help="start pattern (0/1/*); omitted means a seeded random start per run")
@@ -331,34 +320,61 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-steps", type=int, default=1000)
     p.add_argument("--runs", type=int, default=1)
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("path", help="construct a best-response path to a consensus equilibrium")
+
+def _path_options(p) -> None:
     _add_game_argument(p)
     p.add_argument("--from", dest="from_", metavar="BITS", required=True)
     p.add_argument("--mode", choices=("strict", "weak"), default="strict")
-    p.set_defaults(func=cmd_path)
 
-    p = sub.add_parser("gen", help="emit a random game file")
+
+def _gen_options(p) -> None:
     p.add_argument("--nodes", type=int, required=True)
     p.add_argument("--edge-prob", default="1/2")
     p.add_argument("--coord-frac", default="1/2")
     p.add_argument("--threshold", default="random", help="'random' or a rational like 1/2")
     p.add_argument("--max-weight", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("export", help="emit Graphviz DOT")
+
+def _export_options(p) -> None:
     _add_game_argument(p)
     p.add_argument("--config", default=None, help="overlay a configuration (0/1 string)")
-    p.set_defaults(func=cmd_export)
 
+
+# command -> (help line, function, option builder), in help order
+_COMMANDS = {
+    "analyze": ("structural predicates, equilibria, reachability", cmd_analyze, _add_game_argument),
+    "reach": ("best-response reachability of an equilibrium set", cmd_reach, _reach_options),
+    "simulate": ("asynchronous best-response runs", cmd_simulate, _simulate_options),
+    "path": ("construct a best-response path to a consensus equilibrium", cmd_path, _path_options),
+    "gen": ("emit a random game file", cmd_gen, _gen_options),
+    "export": ("emit Graphviz DOT", cmd_export, _export_options),
+}
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The command-line parser.  When ``command`` names a subcommand, only
+    that one is built, since argparse hands it every later argument; any
+    other value builds them all, so top-level help and errors list every
+    command."""
+    parser = _Parser(
+        prog="cacgames",
+        description="Exact analysis of coordination/anti-coordination games on graphs.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, func, add_options) in _COMMANDS.items():
+        if command not in _COMMANDS or command == name:
+            p = sub.add_parser(name, help=help_line)
+            add_options(p)
+            p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
         code = args.func(args)
         sys.stdout.flush()
         return code

@@ -179,6 +179,65 @@ def test_readme_synopsis_names_every_option():
     assert synopsis == defined
 
 
+def test_a_parser_built_for_one_command_matches_the_full_parser(capsys):
+    samples = {
+        "analyze": ["fig4", "--r", "1/2"],
+        "reach": ["fig3", "--from", "11110000**", "--target", "consensus"],
+        "simulate": ["fig5", "--from", "0*", "--scheduler", "round-robin", "--seed", "2",
+                     "--max-steps", "9", "--runs", "3"],
+        "path": ["-", "--from", "0101", "--mode", "weak", "--r", "1/3"],
+        "gen": ["--nodes", "5", "--edge-prob", "1/3", "--coord-frac", "1", "--threshold",
+                "1/2", "--max-weight", "4", "--seed", "8"],
+        "export": ["k3", "--config", "101"],
+    }
+    subparsers = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    assert list(samples) == list(subparsers.choices)
+    for name, rest in samples.items():
+        parsers = (build_parser(name), build_parser())
+        one, full = (p.parse_args([name, *rest]) for p in parsers)
+        assert one == full, name
+        helps, errors = [], []
+        for p in parsers:
+            with pytest.raises(SystemExit):
+                p.parse_args([name, "--help"])
+            helps.append(capsys.readouterr().out)
+            with pytest.raises(cg.GameInputError) as exc:
+                p.parse_args([name, *rest, "--bogus"])
+            errors.append(str(exc.value))
+        assert helps[0] == helps[1] and helps[0].startswith(f"usage: cacgames {name} "), name
+        assert errors[0] == errors[1] == "unrecognized arguments: --bogus", name
+
+
+def test_top_level_help_and_unknown_command_list_every_command(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == """\
+usage: cacgames [-h] {analyze,reach,simulate,path,gen,export} ...
+
+Exact analysis of coordination/anti-coordination games on graphs.
+
+positional arguments:
+  {analyze,reach,simulate,path,gen,export}
+    analyze             structural predicates, equilibria, reachability
+    reach               best-response reachability of an equilibrium set
+    simulate            asynchronous best-response runs
+    path                construct a best-response path to a consensus
+                        equilibrium
+    gen                 emit a random game file
+    export              emit Graphviz DOT
+
+options:
+  -h, --help            show this help message and exit
+"""
+    assert run(capsys, "bogus", "k3") == (1, "", (
+        "error: argument command: invalid choice: 'bogus' (choose from 'analyze', "
+        "'reach', 'simulate', 'path', 'gen', 'export')\n"))
+
+
 def test_reach_fig3_trap_source(capsys):
     report = run_json(capsys, "reach", "fig3", "--from", "1111000000", "--target", "nash")
     assert report["reached"] is False
