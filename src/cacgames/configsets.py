@@ -9,8 +9,7 @@ from collections.abc import Set
 from typing import Iterable, NamedTuple, Optional
 
 from .errors import GameInputError, SizeCapError
-from .game import BRPath, Game, _check_config
-from .rationals import shown
+from .game import BRPath, Game, _check_action, _check_config
 
 # Players an exhaustive configuration scan may enumerate (2^ENUM_CAP states).
 ENUM_CAP = 20
@@ -239,8 +238,8 @@ def consensus_equilibria(game: Game, action=None) -> list:
     anti-coordinating players are enumerated, with the coordinating side
     at consensus, so the scan is capped by their number alone.
     """
-    if action not in (0, 1, None):
-        raise GameInputError(f"action must be 0, 1 or None, got {shown(action)}")
+    if action is not None:
+        _check_action(action, "action")
     actions = (0, 1) if action is None else (action,)
     found = set()
     for a in actions:

@@ -26,13 +26,15 @@ def validate_br_path(game: Game, path: BRPath) -> None:
         raise PathValidationError(
             f"{len(path.configs)} configurations for {len(path.steps)} steps"
         )
+    for x in path.configs:
+        _check_config(game, x, "path")
     for k, (node, action) in enumerate(path.steps):
         before = path.configs[k]
         after = path.configs[k + 1]
         bit = 1 << game.graph.index(node)
         if before & ~bit != after & ~bit:
             raise PathValidationError(f"step {k}: players other than {shown(node)} changed")
-        if (1 if after & bit else 0) != action:
+        if not isinstance(action, int) or (1 if after & bit else 0) != action:
             raise PathValidationError(
                 f"step {k}: configuration does not apply action {shown(action)} of {shown(node)}"
             )

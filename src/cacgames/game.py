@@ -123,8 +123,7 @@ class Game:
             if v not in actions:
                 raise GameInputError(f"configuration is missing player {shown(v)}")
             a = actions[v]
-            if a not in (0, 1):
-                raise GameInputError(f"action of {shown(v)} must be 0 or 1, got {shown(a)}")
+            _check_action(a, f"action of {shown(v)}")
             mask |= a << k
         return mask
 
@@ -174,6 +173,16 @@ class Game:
         return code
 
 
+def _check_config(game: Game, x, what: str) -> None:
+    if not isinstance(x, int) or not 0 <= x < 1 << game.n:
+        raise GameInputError(f"{what} configuration {shown(x)} is out of range")
+
+
+def _check_action(value, what: str) -> None:
+    if not isinstance(value, int) or value not in (0, 1):
+        raise GameInputError(f"{what} must be 0 or 1, got {shown(value)}")
+
+
 def utility(game: Game, node, x: int) -> Fraction:
     """Exact utility of one player at a full configuration.
 
@@ -181,6 +190,7 @@ def utility(game: Game, node, x: int) -> Fraction:
     ``sign * (1 - r) * (weight of 1-neighbors)``, at action 0
     ``sign * r * (weight of 0-neighbors)``.
     """
+    _check_config(game, x, "evaluated")
     k = game.graph.index(node)
     r = game.thresholds[node]
     xk = x >> k & 1
@@ -199,6 +209,7 @@ def utility_by_definition(game: Game, node, x: int) -> Fraction:
     thresholds, never the game's derived tables; do not collapse this into
     the threshold fast path.
     """
+    _check_config(game, x, "evaluated")
     graph = game.graph
     xi = x >> graph.index(node) & 1
     r = game.thresholds[node]
@@ -218,11 +229,13 @@ def best_response(game: Game, node, x: int) -> frozenset:
     is ignored.  Contains both actions exactly when the 1-side neighbor
     weight ties ``r_i * w_i``.
     """
+    _check_config(game, x, "evaluated")
     return _BR_SETS[game._br_bits(game.graph.index(node), x)]
 
 
 def best_response_by_definition(game: Game, node, x: int) -> frozenset:
     """Argmax over the two literal utility evaluations (oracle path)."""
+    _check_config(game, x, "evaluated")
     k = game.graph.index(node)
     u0 = utility_by_definition(game, node, x & ~(1 << k))
     u1 = utility_by_definition(game, node, x | (1 << k))
@@ -235,6 +248,7 @@ def best_response_by_definition(game: Game, node, x: int) -> frozenset:
 
 def deviations(game: Game, x: int) -> list:
     """Players whose current action is not a best response, ascending."""
+    _check_config(game, x, "evaluated")
     out = []
     for k in range(game.n):
         if not game._br_bits(k, x) >> (x >> k & 1) & 1:
@@ -243,12 +257,8 @@ def deviations(game: Game, x: int) -> list:
 
 
 def is_nash(game: Game, x: int) -> bool:
+    _check_config(game, x, "evaluated")
     return all(game._br_bits(k, x) >> (x >> k & 1) & 1 for k in range(game.n))
-
-
-def _check_config(game: Game, x, what: str) -> None:
-    if not isinstance(x, int) or not 0 <= x < 1 << game.n:
-        raise GameInputError(f"{what} configuration {shown(x)} is out of range")
 
 
 class BRPath(NamedTuple):

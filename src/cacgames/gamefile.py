@@ -26,7 +26,7 @@ import sys
 from typing import Optional
 
 from .errors import GameInputError, SizeCapError
-from .game import Game
+from .game import Game, _check_config
 from .graph import WeightedGraph
 from .rationals import format_rational, shown
 
@@ -128,6 +128,8 @@ def to_dot(game: Game, config: Optional[int] = None) -> str:
     """Graphviz text: roles as node colors, weights as edge labels, and an
     optional action overlay (players at 1 drawn filled).
     """
+    if config is not None:
+        _check_config(game, config, "overlay")
     lines = ["graph game {"]
     for k, v in enumerate(game.nodes):
         color = "blue" if v in game.coordinating else "red"

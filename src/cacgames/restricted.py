@@ -37,6 +37,7 @@ class RestrictedGame:
 
     def merged(self, x: int) -> int:
         """Full configuration: moving bits from ``x``, the rest from ``fixed``."""
+        _check_config(self.game, x, "moving")
         mm = self.moving_mask
         return (x & mm) | (self.fixed & ~mm)
 
@@ -142,10 +143,12 @@ def _side_potential(game: Game, side: tuple, sign: int, x: int) -> Fraction:
 
 def coordination_potential(game: Game, x: int) -> Fraction:
     """Exact potential of the coordinating side at frozen opposite actions."""
+    _check_config(game, x, "evaluated")
     return _side_potential(game, game._coord_idx, 1, x)
 
 
 def anticoordination_potential(game: Game, x: int) -> Fraction:
     """Exact potential of the anti-coordinating side at frozen opposite
     actions."""
+    _check_config(game, x, "evaluated")
     return _side_potential(game, game._anti_idx, -1, x)

@@ -80,6 +80,8 @@ def _check_run(scheduler: str, max_steps: int) -> None:
     """The run settings ``simulate`` accepts, checked before any run."""
     if scheduler not in SCHEDULERS:
         raise GameInputError(f"unknown scheduler {shown(scheduler)}; pick one of {SCHEDULERS}")
+    if not isinstance(max_steps, int):
+        raise GameInputError(f"max_steps must be an integer, got {shown(max_steps)}")
     if max_steps < 0:
         raise GameInputError("max_steps must be non-negative")
     if max_steps > STEP_CAP:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .errors import GameInputError, SizeCapError
-from .game import Game, _cleared, _threshold_map
+from .game import Game, _check_action, _cleared, _threshold_map
 from .graph import WeightedGraph
 from .rationals import shown
 
@@ -250,6 +250,7 @@ def game_cohesiveness(game: Game, toward: int = 1) -> CohesivenessReport:
     ``toward=1`` uses r_i (supports all-ones consensus), ``toward=0`` the
     complementary 1 - r_i (supports all-zeros consensus).
     """
+    _check_action(toward, "toward")
     r = game.thresholds
     th = r if toward == 1 else {v: 1 - r[v] for v in game.coordinating}
     return cohesiveness(game.graph, game.coordinating, th)

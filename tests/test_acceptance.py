@@ -280,12 +280,16 @@ def test_criterion_12_cli_output_is_byte_deterministic(capsys):
         ("analyze", "fig5"),
         ("analyze", "fig1", "--r", "2/5"),
         ("reach", "k3", "--all", "--target", "nash"),
+        ("reach", "fig3", "--all", "--target", "nash"),
         ("reach", "fig3", "--from", "1111000000", "--target", "nash"),
         ("simulate", "fig3", "--from", "1111000000", "--runs", "5", "--seed", "9"),
         ("simulate", "fig5", "--runs", "3", "--seed", "4", "--scheduler", "round-robin"),
+        ("simulate", "fig5", "--runs", "3", "--seed", "11"),
         ("path", "k3", "--from", "000", "--mode", "weak"),
         ("gen", "--nodes", "10", "--seed", "7"),
+        ("gen", "--nodes", "9", "--seed", "5", "--threshold", "random"),
         ("export", "fig1"),
+        ("export", "fig4"),
     ]
     for argv in commands:
         first_code = cli_main(list(argv))

@@ -237,8 +237,10 @@ def test_consensus_equilibria_fixture_values(games):
     assert consensus_equilibria(fig3, action=1) == [x_star]
     assert consensus_equilibria(games["pennies"], action=0) == []
     assert consensus_equilibria(games["fig1"], action=1) != []
-    with pytest.raises(GameInputError, match="action must be 0, 1 or None, got 2"):
+    with pytest.raises(GameInputError, match="action must be 0 or 1, got 2"):
         consensus_equilibria(fig3, action=2)
+    with pytest.raises(GameInputError, match="action must be 0 or 1, got 1.0"):
+        consensus_equilibria(fig3, action=1.0)
     with pytest.raises(GameInputError, match="got -1/2$"):
         consensus_equilibria(fig3, action=Fraction(-1, 2))
 
@@ -355,6 +357,8 @@ def test_configuration_helpers_round_trip(games):
         game.mask_of_actions({v: 0 for v in range(1, 10)})
     with pytest.raises(GameInputError, match="action of 1 must be 0 or 1, got 2"):
         game.mask_of_actions({v: 2 for v in game.nodes})
+    with pytest.raises(GameInputError, match="action of 1 must be 0 or 1, got 1.0"):
+        game.mask_of_actions({v: 1.0 for v in game.nodes})
 
 
 def _cleared_by_fractions(graph, nodes, thresholds):

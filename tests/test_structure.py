@@ -314,6 +314,9 @@ def test_bad_mode_rejected(games):
     for name in ("k3", "pennies"):
         with pytest.raises(GameInputError, match="mode must be 'strict' or 'weak', got 'bogus'"):
             cg.construct_consensus_path(games[name], 0, mode="bogus")
+    for bad in ("1", 2, 1.0):
+        with pytest.raises(GameInputError, match="toward must be 0 or 1"):
+            cg.game_cohesiveness(games["fig1"], toward=bad)
     with pytest.raises(GameInputError, match="side must name a role, got 'leaders'"):
         RestrictedGame(games["k3"], "leaders", 0)
     fig3 = games["fig3"]
