@@ -5,7 +5,17 @@ predicates, and best-response dynamics, all in exact rational arithmetic.
 The public names are imported from their home modules on first use
 (PEP 562), so ``import cacgames`` compiles only the modules a caller
 touches: loading a game file never imports ``structure``, ``dynamics``,
-``configsets``, ``simulation`` or ``restricted``.
+``configsets``, ``simulation``, ``restricted`` or ``scalar`` (the scalar
+evaluators ``utility``, ``best_response``, ``deviations``, ``is_nash`` and
+the by-definition oracles).
+
+A command-line call compiles ``cli``, the loading modules above, the
+``commands`` package and its own ``commands.<name>``, plus what that command
+runs: ``configsets`` for ``reach``; ``structure`` and ``configsets`` for
+``analyze``; ``simulation`` for ``simulate``; ``structure``, ``dynamics``
+and ``simulation`` for ``path``; ``generate`` for ``gen``; nothing more for
+``export``.  ``fixtures`` is compiled only when the game argument names a
+fixture, or to print help.
 """
 
 from importlib import import_module
@@ -18,9 +28,10 @@ _HOMES = {
         "PathValidationError", "PreconditionError", "SizeCapError",
     ),
     "graph": ("NODE_CAP", "WeightedGraph"),
-    "game": (
-        "BRPath", "Game", "best_response", "best_response_by_definition",
-        "deviations", "is_nash", "utility", "utility_by_definition",
+    "game": ("BRPath", "Game"),
+    "scalar": (
+        "best_response", "best_response_by_definition", "deviations", "is_nash",
+        "utility", "utility_by_definition",
     ),
     "configsets": (
         "ENUM_CAP", "ReachabilityReport", "consensus_equilibria", "enumerate_nash",

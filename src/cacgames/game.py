@@ -11,7 +11,8 @@ best responses, which is why all arithmetic is exact.
 
 Configurations are integer bitmasks over the graph's sorted node order
 (bit k is the action of ``graph.nodes[k]``).  A ``BRPath`` is a sequence of
-single-player updates.
+single-player updates.  The scalar evaluators (``utility``, ``is_nash`` and
+the by-definition oracles) live in ``scalar``.
 """
 
 from __future__ import annotations
@@ -21,26 +22,32 @@ from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import GameInputError
-from .graph import WeightedGraph, ZERO
+from .graph import WeightedGraph
 from .rationals import as_rational, shown
-
-_BR_SETS = {1: frozenset((0,)), 2: frozenset((1,)), 3: frozenset((0, 1))}
 
 
 def _threshold_map(nodes, thresholds) -> dict:
     """Per-node thresholds from a single rational or a mapping, each checked
-    to lie in the open interval (0, 1)."""
-    if isinstance(thresholds, Mapping):
-        out = {}
-        for v in nodes:
-            if v not in thresholds:
-                raise GameInputError(f"missing threshold for node {shown(v)}")
-            out[v] = as_rational(thresholds[v], what=f"threshold of {shown(v)}")
-    else:
-        uniform = as_rational(thresholds, what="threshold")
-        out = {v: uniform for v in nodes}
-    for v, r in out.items():
+    to lie in the open interval (0, 1).  A refused value from a mapping names
+    its node; a refused single value names none."""
+    if not isinstance(thresholds, Mapping):
+        r = as_rational(thresholds, what="threshold")
         if not 0 < r.numerator < r.denominator:  # 0 < r < 1; denominators are positive
+            raise GameInputError(f"threshold must lie strictly between 0 and 1, got {shown(r)}")
+        return dict.fromkeys(nodes, r)
+    out = {}
+    for v in nodes:
+        if v not in thresholds:
+            raise GameInputError(f"missing threshold for node {shown(v)}")
+        try:
+            out[v] = as_rational(thresholds[v], what="threshold")
+        except GameInputError as exc:
+            # the node is named only once its value is refused
+            raise GameInputError(
+                f"threshold of {shown(v)}{str(exc).removeprefix('threshold')}"
+            ) from None
+    for v, r in out.items():
+        if not 0 < r.numerator < r.denominator:
             raise GameInputError(
                 f"threshold of {shown(v)} must lie strictly between 0 and 1, got {shown(r)}"
             )
@@ -181,84 +188,6 @@ def _check_config(game: Game, x, what: str) -> None:
 def _check_action(value, what: str) -> None:
     if not isinstance(value, int) or value not in (0, 1):
         raise GameInputError(f"{what} must be 0 or 1, got {shown(value)}")
-
-
-def utility(game: Game, node, x: int) -> Fraction:
-    """Exact utility of one player at a full configuration.
-
-    Uses the reduced form: a player at action 1 earns
-    ``sign * (1 - r) * (weight of 1-neighbors)``, at action 0
-    ``sign * r * (weight of 0-neighbors)``.
-    """
-    _check_config(game, x, "evaluated")
-    k = game.graph.index(node)
-    r = game.thresholds[node]
-    xk = x >> k & 1
-    matched = sum(w for j, w in game._nbrw[k] if (x >> j & 1) == xk)
-    share = r.denominator - r.numerator if xk else r.numerator
-    return Fraction(game._sign[k] * share * matched, r.denominator * game._scale)
-
-
-def utility_by_definition(game: Game, node, x: int) -> Fraction:
-    """Utility summed term by term from the defining payoff expression.
-
-    Each neighbor contributes ``(1 - r) * x_i * x_j + r * (1 - x_i) *
-    (1 - x_j)`` times the edge weight; the term is evaluated per neighbor by
-    case analysis on the two actions.  Kept as an independent cross-check of
-    the reduced form used everywhere else: it reads only the graph and the
-    thresholds, never the game's derived tables; do not collapse this into
-    the threshold fast path.
-    """
-    _check_config(game, x, "evaluated")
-    graph = game.graph
-    xi = x >> graph.index(node) & 1
-    r = game.thresholds[node]
-    match_one = 1 - r
-    total = ZERO
-    for u in graph.neighbors(node):
-        xj = x >> graph.index(u) & 1
-        if xi and xj:
-            total += graph.weight(node, u) * match_one
-        elif not xi and not xj:
-            total += graph.weight(node, u) * r
-    return total if node in game.coordinating else -total
-
-
-def best_response(game: Game, node, x: int) -> frozenset:
-    """Set of optimal actions for one player; the player's own bit in ``x``
-    is ignored.  Contains both actions exactly when the 1-side neighbor
-    weight ties ``r_i * w_i``.
-    """
-    _check_config(game, x, "evaluated")
-    return _BR_SETS[game._br_bits(game.graph.index(node), x)]
-
-
-def best_response_by_definition(game: Game, node, x: int) -> frozenset:
-    """Argmax over the two literal utility evaluations (oracle path)."""
-    _check_config(game, x, "evaluated")
-    k = game.graph.index(node)
-    u0 = utility_by_definition(game, node, x & ~(1 << k))
-    u1 = utility_by_definition(game, node, x | (1 << k))
-    if u1 > u0:
-        return _BR_SETS[2]
-    if u1 < u0:
-        return _BR_SETS[1]
-    return _BR_SETS[3]
-
-
-def deviations(game: Game, x: int) -> list:
-    """Players whose current action is not a best response, ascending."""
-    _check_config(game, x, "evaluated")
-    out = []
-    for k in range(game.n):
-        if not game._br_bits(k, x) >> (x >> k & 1) & 1:
-            out.append(game.nodes[k])
-    return out
-
-
-def is_nash(game: Game, x: int) -> bool:
-    _check_config(game, x, "evaluated")
-    return all(game._br_bits(k, x) >> (x >> k & 1) & 1 for k in range(game.n))
 
 
 class BRPath(NamedTuple):

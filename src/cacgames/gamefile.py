@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import re
 import sys
+from operator import itemgetter
 from typing import Optional
 
 from .errors import GameInputError, SizeCapError
@@ -31,6 +32,9 @@ from .graph import WeightedGraph
 from .rationals import format_rational, shown
 
 ROLES = ("coordinating", "anticoordinating")
+# a file entry's fields in order; a missing one raises KeyError with its name
+_NODE_FIELDS = itemgetter("id", "role", "threshold")
+_EDGE_FIELDS = itemgetter("u", "v", "weight")
 
 # The longest input load_game reads, in characters.  serialize_game writes at
 # most 33,552,581 of them, for 64 nodes, 2016 edges, p/q parts of 4300 digits
@@ -58,7 +62,7 @@ def parse_game(text: str) -> Game:
     coordinating = []
     thresholds = {}
     for k, entry in enumerate(data["nodes"]):
-        node_id, role, threshold = _fields(f"nodes[{k}]", entry, ("id", "role", "threshold"))
+        node_id, role, threshold = _fields("nodes", k, entry, _NODE_FIELDS)
         if not isinstance(node_id, (int, str)) or isinstance(node_id, bool):
             raise GameInputError(f"nodes[{k}]: id must be an int or string")
         if isinstance(node_id, str) and re.search("[\ud800-\udfff]", node_id):
@@ -72,20 +76,21 @@ def parse_game(text: str) -> Game:
     if len({type(i) for i in ids}) > 1:
         raise GameInputError("node ids must be all ints or all strings")
     edges = [
-        _fields(f"edges[{k}]", entry, ("u", "v", "weight"))
+        _fields("edges", k, entry, _EDGE_FIELDS)
         for k, entry in enumerate(data["edges"])
     ]
     return Game(WeightedGraph(ids, edges), coordinating, thresholds)
 
 
-def _fields(where: str, entry, names) -> tuple:
-    """The named fields of one file entry, which must be an object."""
+def _fields(kind: str, k: int, entry, fields) -> tuple:
+    """The fields ``fields`` reads from the file's entry ``kind[k]``, which
+    must be an object; the entry is named only once a check fails."""
     if not isinstance(entry, dict):
-        raise GameInputError(f"{where}: expected an object")
+        raise GameInputError(f"{kind}[{k}]: expected an object")
     try:
-        return tuple(entry[name] for name in names)
+        return fields(entry)
     except KeyError as exc:
-        raise GameInputError(f"{where}: missing field {exc.args[0]!r}") from None
+        raise GameInputError(f"{kind}[{k}]: missing field {exc.args[0]!r}") from None
 
 
 def load_game(path: str) -> Game:

@@ -75,32 +75,36 @@ class WeightedGraph:
         self._index = {v: k for k, v in enumerate(self._nodes)}
         self._adj: dict = {v: {} for v in self._nodes}
         for k, entry in enumerate(edges):
-            self._add_edge(f"edges[{k}]", entry)
+            try:
+                self._add_edge(entry)
+            except GameInputError as exc:
+                # the entry is named only once a check fails
+                raise GameInputError(f"edges[{k}]: {exc}") from None
 
-    def _add_edge(self, where: str, entry) -> None:
+    def _add_edge(self, entry) -> None:
         try:
             u, v, w = entry
         except (TypeError, ValueError):
-            raise GameInputError(f"{where}: expected (u, v, weight)") from None
+            raise GameInputError("expected (u, v, weight)") from None
         for end in (u, v):
             if end not in self:
-                raise GameInputError(f"{where}: unknown node {shown(end)}")
+                raise GameInputError(f"unknown node {shown(end)}")
         if u == v:
-            raise GameInputError(f"{where}: self-loop at {shown(u)}")
-        weight = as_rational(w, what=f"{where}: weight")
+            raise GameInputError(f"self-loop at {shown(u)}")
+        weight = as_rational(w, what="weight")
         if weight.numerator <= 0:
             got = (f"zero weight {shown(w)} (omit non-edges)" if weight.numerator == 0
                    else f"negative weight {shown(w)}")
-            raise GameInputError(f"{where}: weight must be positive, got {got}")
+            raise GameInputError(f"weight must be positive, got {got}")
         listed = self._adj[u].get(v)
         if listed is not None:
             pair = (u, v) if self._index[u] < self._index[v] else (v, u)
             if listed != weight:
                 raise GameInputError(
-                    f"{where}: asymmetric weights for edge {shown(pair)}: "
+                    f"asymmetric weights for edge {shown(pair)}: "
                     f"{shown(listed)} vs {shown(weight)}"
                 )
-            raise GameInputError(f"{where}: duplicate edge {shown(pair)}")
+            raise GameInputError(f"duplicate edge {shown(pair)}")
         self._adj[u][v] = weight
         self._adj[v][u] = weight
 

@@ -40,16 +40,8 @@ def shown(value) -> str:
 
 def as_rational(value, what: str = "value") -> Fraction:
     """Coerce ints, Fractions and "p/q" strings to Fraction; reject floats."""
-    if isinstance(value, bool):
-        raise GameInputError(f"{what}: expected a rational, got a boolean")
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, float):
-        raise GameInputError(
-            f"{what}: floating point is not allowed, use an exact 'p/q' string"
-        )
+    # str first: it is what a game file holds, and the test for Fraction
+    # goes through the ABC machinery of numbers.Rational
     if isinstance(value, str):
         match = _RATIONAL_RE.fullmatch(value.strip())
         if not match:
@@ -65,6 +57,16 @@ def as_rational(value, what: str = "value") -> Fraction:
             ) from None
         except ValueError:  # a part over Python's digit limit
             raise GameInputError(f"{what}: rational has too many digits") from None
+    if isinstance(value, bool):
+        raise GameInputError(f"{what}: expected a rational, got a boolean")
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int):
+        return Fraction(value)
+    if isinstance(value, float):
+        raise GameInputError(
+            f"{what}: floating point is not allowed, use an exact 'p/q' string"
+        )
     raise GameInputError(f"{what}: cannot interpret {type(value).__name__} as a rational")
 
 

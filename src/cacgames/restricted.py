@@ -9,8 +9,8 @@ from fractions import Fraction
 from .configsets import _equilibria
 from .errors import DegenerateNodeError, GameInputError
 from .game import Game, _check_config
-from .game import utility as _full_utility
 from .rationals import shown
+from .scalar import utility as _full_utility
 
 
 class RestrictedGame:

@@ -207,6 +207,9 @@ def test_a_parser_built_for_one_command_matches_the_full_parser(capsys):
                 p.parse_args([name, *rest, "--bogus"])
             errors.append(str(exc.value))
         assert helps[0] == helps[1] and helps[0].startswith(f"usage: cacgames {name} "), name
+        if name != "gen":  # the one command without a game argument
+            listed = re.search(r"fixture\s+name\s+\(([^)]*)\)", helps[0]).group(1)
+            assert " ".join(listed.split()) == ", ".join(cg.fixture_names()), name
         assert errors[0] == errors[1] == "unrecognized arguments: --bogus", name
 
 

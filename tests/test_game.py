@@ -22,7 +22,7 @@ from cacgames import (
     utility,
     utility_by_definition,
 )
-from cacgames.cli import _sub_cube
+from cacgames.commands import _sub_cube
 from cacgames.configsets import (
     _best_response_sets,
     _configurations,

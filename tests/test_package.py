@@ -14,11 +14,13 @@ import cacgames as cg
 SRC = Path(__file__).resolve().parent.parent / "src"
 HEAVY = ("cacgames.structure", "cacgames.dynamics", "cacgames.cli",
          "cacgames.fixtures", "cacgames.generate", "cacgames.configsets",
-         "cacgames.simulation", "cacgames.restricted")
+         "cacgames.simulation", "cacgames.restricted", "cacgames.scalar",
+         "cacgames.commands")
 # What every command compiles besides ``cacgames.cli``, which runs as
-# ``__main__``: the modules that load a game, and the fixture table.
+# ``__main__``, and its own ``cacgames.commands.<name>``: the modules that
+# load a game, and the package the commands share.
 LOAD_PATH = {"cacgames", "cacgames.errors", "cacgames.rationals", "cacgames.graph",
-             "cacgames.game", "cacgames.gamefile", "cacgames.fixtures"}
+             "cacgames.game", "cacgames.gamefile", "cacgames.commands"}
 
 
 def _loaded(code: str, *argv) -> list:
@@ -39,20 +41,30 @@ def test_loading_a_game_file_compiles_no_analysis_module(tmp_path):
     loaded = _loaded("import sys, cacgames\ncacgames.load_game(sys.argv[1])", str(path))
     assert "cacgames.gamefile" in loaded
     assert not set(HEAVY) & set(loaded)
+    # the CLI reads a source that is not letters and digits as a path,
+    # without the fixture table, so no fixture name may be anything else
+    assert all(name.isalnum() for name in cg.FIXTURES)
 
 
 @pytest.mark.parametrize("argv, modules", [
     (["gen", "--nodes", "4"], {"generate"}),
-    (["export", "k3"], set()),
-    (["simulate", "fig3", "--runs", "2"], {"simulation"}),
-    (["reach", "fig3", "--all"], {"configsets"}),
-    (["reach", "k3", "--from", "0*1"], {"configsets"}),
-    (["analyze", "k3"], {"structure", "configsets"}),
-    (["path", "k3", "--from", "000", "--mode", "weak"], {"structure", "dynamics", "simulation"}),
+    (["export", "k3"], {"fixtures"}),
+    (["simulate", "fig3", "--runs", "2"], {"simulation", "fixtures"}),
+    (["reach", "fig3", "--all"], {"configsets", "fixtures"}),
+    (["reach", "k3", "--from", "0*1"], {"configsets", "fixtures"}),
+    (["analyze", "k3"], {"structure", "configsets", "fixtures"}),
+    (["path", "k3", "--from", "000", "--mode", "weak"],
+     {"structure", "dynamics", "simulation", "fixtures"}),
     # a --from pattern is a sub-cube the CLI walks itself
-    (["simulate", "k3", "--from", "0*1"], {"simulation"}),
+    (["simulate", "k3", "--from", "0*1"], {"simulation", "fixtures"}),
+    # a game file compiles no fixture table
+    (["simulate", "FILE", "--runs", "2"], {"simulation"}),
+    (["analyze", "FILE"], {"structure", "configsets"}),
 ])
-def test_each_command_compiles_only_what_it_runs(argv, modules):
+def test_each_command_compiles_only_what_it_runs(argv, modules, tmp_path):
+    path = tmp_path / "fig3.json"
+    path.write_text(cg.serialize_game(cg.fixture("fig3")))
+    argv = [str(path) if a == "FILE" else a for a in argv]
     # runpy is what ``python -m cacgames.cli`` runs
     code = (
         "import runpy, sys\n"
@@ -60,7 +72,8 @@ def test_each_command_compiles_only_what_it_runs(argv, modules):
         "except SystemExit as exc:\n    assert exc.code == 0, exc.code"
     )
     loaded = _loaded(code, *argv)
-    assert set(loaded) == LOAD_PATH | {f"cacgames.{name}" for name in modules}
+    own = f"commands.{argv[0]}"
+    assert set(loaded) == LOAD_PATH | {f"cacgames.{name}" for name in {own, *modules}}
 
 
 def test_every_public_name_resolves_to_its_home_module():

@@ -294,16 +294,25 @@ def test_partition_search_stops_at_node_cap(monkeypatch, tmp_path, capsys):
     assert report["reachability"]["status"] == "ok" and report["reachability"]["reached"]
 
 
-def test_predicates_share_the_game_threshold_check(games):
+def test_predicates_share_the_game_threshold_check(games, capsys):
     graph = games["k3"].graph
     for bad in (0, 1, "5/4"):
         with pytest.raises(GameInputError) as from_game:
             Game(graph, {1, 2}, bad)
-        assert "strictly between 0 and 1" in str(from_game.value)
+        # one value for every player is checked once and names no node
+        assert str(from_game.value) == f"threshold must lie strictly between 0 and 1, got {bad}"
         for check in (cohesiveness, indecomposability):
             with pytest.raises(GameInputError) as from_structure:
                 check(graph, [1, 2], bad)
             assert str(from_structure.value) == str(from_game.value)
+    # checked even with no player to apply it to
+    with pytest.raises(GameInputError, match="^threshold must lie strictly between 0 and 1, got 2$"):
+        Game(WeightedGraph([]), [], 2)
+    for argv, bad in ((["analyze", "k3", "--r", "0"], 0),
+                      (["gen", "--nodes", "3", "--threshold", "1"], 1)):
+        assert main(argv) == 1
+        assert capsys.readouterr() == (
+            "", f"error: threshold must lie strictly between 0 and 1, got {bad}\n")
 
 
 def test_bad_mode_rejected(games):
