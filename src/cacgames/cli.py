@@ -4,7 +4,9 @@ Commands read a game from a file, from standard input ("-"), or from the
 built-in fixture corpus by name, and write JSON (or DOT) to standard
 output.  All output is deterministic for a fixed seed; exit codes are
 0 success, 1 input error, 2 size cap, 3 precondition failure, 4 internal
-guarantee violation, 141 standard output closed by its reader.
+guarantee violation, 141 standard output closed by its reader.  Each
+command's options and body live in ``commands.<name>``, and a call imports
+only the module of its own command.
 """
 
 from __future__ import annotations
