@@ -3,19 +3,9 @@ weighted graphs: best responses, equilibrium enumeration, structural
 predicates, and best-response dynamics, all in exact rational arithmetic.
 
 The public names are imported from their home modules on first use
-(PEP 562), so ``import cacgames`` compiles only the modules a caller
-touches: loading a game file never imports ``structure``, ``dynamics``,
-``configsets``, ``simulation``, ``restricted`` or ``scalar`` (the scalar
-evaluators ``utility``, ``best_response``, ``deviations``, ``is_nash`` and
-the by-definition oracles).
-
-A command-line call compiles ``cli``, the loading modules above, the
-``commands`` package and its own ``commands.<name>``, plus what that command
-runs: ``configsets`` for ``reach``; ``structure`` and ``configsets`` for
-``analyze``; ``simulation`` for ``simulate``; ``structure``, ``dynamics``
-and ``simulation`` for ``path``; ``generate`` for ``gen``; nothing more for
-``export``.  ``fixtures`` is compiled only when the game argument names a
-fixture, or to print help.
+(PEP 562), so a caller, and each command-line call, compiles only the
+modules it touches.  ``tests/test_package.py`` pins the modules that
+loading a game and each command compile.
 """
 
 from importlib import import_module

@@ -97,7 +97,7 @@ class Game:
 
         n = len(nodes)
         self.n = n
-        self.anti_mask = ((1 << n) - 1) ^ self.coord_mask if n else 0
+        self.anti_mask = ((1 << n) - 1) ^ self.coord_mask
 
         # Per-index tables on the game's one integer scale (see ``_cleared``).
         self._sign = sign = [1 if self.coord_mask >> k & 1 else -1 for k in range(n)]

@@ -12,6 +12,33 @@ def games():
     return {name: cg.fixture(name) for name in cg.fixture_names()}
 
 
+def _check_potential_identity(game):
+    """Assert that every one-side flip changes that side's potential by
+    exactly the mover's utility difference, each unordered flip pair once."""
+    for side, potential in (
+        (game.coord_mask, cg.coordination_potential),
+        (game.anti_mask, cg.anticoordination_potential),
+    ):
+        movers = [k for k in range(game.n) if side >> k & 1]
+        if not movers:
+            continue
+        phi = [potential(game, x) for x in range(1 << game.n)]
+        for x in range(1 << game.n):
+            for k in movers:
+                if x >> k & 1:
+                    continue
+                flipped = x | 1 << k
+                node = game.nodes[k]
+                du = cg.utility(game, node, flipped) - cg.utility(game, node, x)
+                assert du == phi[flipped] - phi[x], (node, x)
+
+
+@pytest.fixture(scope="session")
+def check_potential_identity():
+    """``game -> None``: the potential identity checked on every flip."""
+    return _check_potential_identity
+
+
 def _knife_edge_game(rng, n):
     """Random game whose weights are multiples of the threshold
     denominators, so ``r_i * w_i`` often equals an attainable neighbor sum."""

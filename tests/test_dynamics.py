@@ -99,14 +99,6 @@ def test_reachable_set_pennies_cycles_through_everything(games):
         assert reachable_set(pennies, x0) == {0, 1, 2, 3}
 
 
-def test_fig3_trap_closures_avoid_all_equilibria(games):
-    fig3 = games["fig3"]
-    nash = set(enumerate_nash(fig3))
-    assert nash
-    for x0 in _fig3_trap_starts(fig3):
-        assert not reachable_set(fig3, x0) & nash
-
-
 def test_reachable_set_respects_cap(games, monkeypatch):
     monkeypatch.setattr(cg.configsets, "ENUM_CAP", 5)
     with pytest.raises(SizeCapError):
@@ -142,14 +134,6 @@ def test_reachability_reports_are_true_exactly_when_reached(games):
     assert not reachability_from(fig3, _fig3_trap_starts(fig3)[0], nash)
     assert global_reachability(k3, enumerate_nash(k3))
     assert reachability_from(k3, 0, enumerate_nash(k3))
-
-
-def test_fig5_consensus_set_globally_reachable(games):
-    fig5 = games["fig5"]
-    target = cg.consensus_equilibria(fig5)
-    report = global_reachability(fig5, target)
-    assert report.reached
-    assert report.reachable_count == 1 << fig5.n
 
 
 def test_reachability_from_single_sources(games):
@@ -615,17 +599,6 @@ def test_simulation_absorbs_immediately_at_equilibrium(games):
         traj = simulate(fig3, x_star, scheduler=scheduler, seed=0, max_steps=100)
         assert traj.status == "absorbed-at-NE"
         assert traj.activations <= fig3.n
-
-
-def test_simulation_pennies_never_absorbs(games):
-    pennies = games["pennies"]
-    for scheduler in cg.simulation.SCHEDULERS:
-        for seed in range(5):
-            traj = simulate(pennies, 0b11, scheduler=scheduler, seed=seed, max_steps=60)
-            assert traj.status in ("cycle-detected", "step-cap")
-    # the deterministic schedulers prove their cycles
-    assert simulate(pennies, 0b11, "round-robin", 0, 60).status == "cycle-detected"
-    assert simulate(pennies, 0b11, "greedy-potential", 0, 60).status == "cycle-detected"
 
 
 def test_simulation_fig3_traps_never_absorb(games):

@@ -128,3 +128,4 @@ def test_mask_round_trip(games):
     g = games["fig1"].graph
     members = (2, 5, 13)
     assert g.members_of(g.mask_of(members)) == members
+    assert len(g) == len(g.nodes) == 13

@@ -97,6 +97,8 @@ def test_submodules_resolve_and_unknown_names_do_not():
                    "cli"):
         assert getattr(cg, module) is importlib.import_module(f"cacgames.{module}")
     assert cg.configsets.ENUM_CAP == cg.ENUM_CAP
+    # in a fresh interpreter the package's __getattr__ imports the submodule
+    assert "cacgames.generate" in _loaded("import sys, cacgames\ncacgames.generate.random_game")
     with pytest.raises(AttributeError, match="no attribute 'nash'"):
         cg.nash
     assert not hasattr(cg, "_cleared")

@@ -33,12 +33,6 @@ HALF = Fraction(1, 2)
 # -- cohesiveness -------------------------------------------------------
 
 
-def test_cohesiveness_fig1_holds_at_two_fifths(games):
-    report = cohesiveness(games["fig1"].graph, range(1, 9), Fraction(2, 5))
-    assert report.holds and not report.violators
-    assert bool(report)
-
-
 def test_cohesiveness_fig2b_violated_by_node_6(games):
     report = cohesiveness(games["fig2b"].graph, range(2, 7), HALF)
     assert not report.holds and not bool(report)
@@ -68,47 +62,8 @@ def test_cohesiveness_antitone_in_thresholds():
 # -- indecomposability ---------------------------------------------------
 
 
-def test_fig4_is_decomposable_with_verified_witness(games):
-    fig4 = games["fig4"]
-    report = game_indecomposability(fig4, mode="strict")
-    assert not report.holds
-    w = report.witness
-    assert w.certifying_player is None
-    # re-verify: the scan's witness really is a decomposition
-    check = partition_certificate(
-        fig4.graph, range(1, 7), HALF, w.part0, w.part1, mode="strict"
-    )
-    assert check.certifying_player is None
-    # the classic split of the two triangles is among all witnesses
-    named = (frozenset({1, 2, 3}), frozenset({4, 5, 6}))
-    all_wits = {
-        (x.part0, x.part1)
-        for x in decomposition_witnesses(fig4.graph, range(1, 7), HALF, "strict")
-    }
-    assert named in all_wits
-
-
-def test_k3_witness_is_the_singleton_split(games):
-    report = game_indecomposability(games["k3"], mode="strict")
-    assert not report.holds
-    assert (report.witness.part0, report.witness.part1) == (
-        frozenset({1}),
-        frozenset({2}),
-    )
-
-
 def test_fig3_not_indecomposable(games):
     assert not game_indecomposability(games["fig3"], mode="strict").holds
-
-
-def test_fig5_modes_disagree(games):
-    fig5 = games["fig5"]
-    strict = game_indecomposability(fig5, mode="strict")
-    weak = game_indecomposability(fig5, mode="weak")
-    assert not strict.holds
-    assert weak.holds and weak.witness is None
-    # strict fails exactly on balanced splits of the clique core
-    assert len(strict.witness.part0) == 3 and len(strict.witness.part1) == 3
 
 
 def test_certified_partitions_report_player_and_condition(games):
@@ -522,19 +477,15 @@ def test_pennies_coordination_potential_differences(games):
         assert diff == utility(pennies, 1, flipped) - utility(pennies, 1, base)
 
 
-def _assert_potential_identity(game):
+def _assert_restricted_potentials(game):
+    """A restricted game's potential is its side's potential at the merged
+    configuration and moves by the mover's utility difference."""
     for x in range(1 << game.n):
         for v in game.nodes:
-            k = game.graph.index(v)
-            flipped = x ^ (1 << k)
+            flipped = x ^ (1 << game.graph.index(v))
+            side = "coordinating" if v in game.coordinating else "anticoordinating"
+            view = RestrictedGame(game, side, x)
             du = utility(game, v, flipped) - utility(game, v, x)
-            if v in game.coordinating:
-                dphi = coordination_potential(game, flipped) - coordination_potential(game, x)
-                view = RestrictedGame(game, "coordinating", x)
-            else:
-                dphi = anticoordination_potential(game, flipped) - anticoordination_potential(game, x)
-                view = RestrictedGame(game, "anticoordinating", x)
-            assert du == dphi, (v, x)
             assert view.potential(flipped) - view.potential(x) == du, (v, x)
         for side, phi in (("coordinating", coordination_potential),
                           ("anticoordinating", anticoordination_potential)):
@@ -542,16 +493,18 @@ def _assert_potential_identity(game):
             assert view.potential(x) == phi(game, view.merged(x)), (side, x)
 
 
-def test_potential_identity_on_small_fixtures(games):
+def test_potential_identity_on_small_fixtures(games, check_potential_identity):
     for name in ("pennies", "k3", "fig2a", "fig2b", "fig2c", "fig3"):
-        _assert_potential_identity(games[name])
+        check_potential_identity(games[name])
+        _assert_restricted_potentials(games[name])
 
 
-def test_potential_identity_covers_degenerate_nodes(games):
-    # node 10 in this game has no same-side neighbors at all
-    _assert_potential_identity(games["fig3"])
+def test_potential_identity_covers_degenerate_nodes(games, check_potential_identity):
+    # node 10 of fig3 has no same-side neighbors at all
     g = WeightedGraph([1, 2, 3], [(2, 3, 1)])
-    _assert_potential_identity(Game(g, {1}, Fraction(1, 3)))
+    for game in (games["fig3"], Game(g, {1}, Fraction(1, 3))):
+        check_potential_identity(game)
+        _assert_restricted_potentials(game)
 
 
 def test_cleared_coefficient_matches_modified_threshold():
