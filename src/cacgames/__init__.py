@@ -20,8 +20,8 @@ _HOMES = {
     "graph": ("NODE_CAP", "WeightedGraph"),
     "game": ("BRPath", "Game"),
     "scalar": (
-        "best_response", "best_response_by_definition", "deviations", "is_nash",
-        "utility", "utility_by_definition",
+        "best_response", "best_response_by_definition", "br_transitions", "deviations",
+        "is_nash", "utility", "utility_by_definition", "validate_br_path",
     ),
     "configsets": (
         "ENUM_CAP", "ReachabilityReport", "consensus_equilibria", "enumerate_nash",
@@ -34,7 +34,7 @@ _HOMES = {
         "game_indecomposability", "indecomposability", "partition_certificate",
     ),
     "restricted": ("RestrictedGame", "anticoordination_potential", "coordination_potential"),
-    "dynamics": ("br_transitions", "construct_consensus_path", "validate_br_path"),
+    "dynamics": ("construct_consensus_path",),
     "fixtures": ("FIXTURES", "fixture", "fixture_names"),
     "gamefile": ("load_game", "parse_game", "serialize_game", "to_dot"),
     "generate": ("random_game",),

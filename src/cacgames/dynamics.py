@@ -1,66 +1,18 @@
-"""Best-response paths: the update rule, and the constructive path to a
-consensus equilibrium.
+"""The constructive best-response path to a consensus equilibrium.
 
-A transition flips a single player's action to one of its current best
-responses.  Re-picking the current action is allowed by the update rule but
-never changes the state, so the transitions listed here keep only the
-state-changing moves.
+The update rule itself, ``br_transitions`` and ``validate_br_path``, lives
+with the other scalar evaluators in ``scalar``.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from .errors import GuaranteeViolationError, PathValidationError, PreconditionError
+from .errors import GuaranteeViolationError, PreconditionError
 from .game import BRPath, Game, _check_config
 from .rationals import shown
 from .simulation import _Play
 from .structure import _check_mode, game_cohesiveness, game_indecomposability
-
-
-def validate_br_path(game: Game, path: BRPath) -> None:
-    """Check the update rule at every step; raise PathValidationError on the
-    first violation.  No-op steps (re-picking the current action) pass.
-    """
-    if len(path.configs) != len(path.steps) + 1:
-        raise PathValidationError(
-            f"{len(path.configs)} configurations for {len(path.steps)} steps"
-        )
-    for x in path.configs:
-        _check_config(game, x, "path")
-    for k, (node, action) in enumerate(path.steps):
-        before = path.configs[k]
-        after = path.configs[k + 1]
-        bit = 1 << game.graph.index(node)
-        if before & ~bit != after & ~bit:
-            raise PathValidationError(f"step {k}: players other than {shown(node)} changed")
-        if not isinstance(action, int) or (1 if after & bit else 0) != action:
-            raise PathValidationError(
-                f"step {k}: configuration does not apply action {shown(action)} of {shown(node)}"
-            )
-        if not game._br_bits(game.graph.index(node), before) >> action & 1:
-            raise PathValidationError(
-                f"step {k}: action {shown(action)} is not a best response of {shown(node)}"
-            )
-
-
-def br_transitions(game: Game, x: int) -> list:
-    """All state-changing single-player updates from ``x``.
-
-    Returns (node, new_action, new_configuration) triples in ascending node
-    order.  Empty exactly when every player strictly prefers its current
-    action (a tie still contributes a move to the other action).
-    """
-    _check_config(game, x, "source")
-    out = []
-    for k in range(game.n):
-        cur = x >> k & 1
-        if game._br_bits(k, x) >> (1 - cur) & 1:
-            out.append((game.nodes[k], 1 - cur, x ^ (1 << k)))
-    return out
-
-
-# -- constructive path to a consensus equilibrium -----------------------
 
 
 def _consensus_value(game: Game, x: int) -> Optional[int]:

@@ -11,8 +11,8 @@ best responses, which is why all arithmetic is exact.
 
 Configurations are integer bitmasks over the graph's sorted node order
 (bit k is the action of ``graph.nodes[k]``).  A ``BRPath`` is a sequence of
-single-player updates.  The scalar evaluators (``utility``, ``is_nash`` and
-the by-definition oracles) live in ``scalar``.
+single-player updates.  Every scalar evaluator (``utility``, best responses,
+``is_nash``, the update rule and the by-definition oracles) lives in ``scalar``.
 """
 
 from __future__ import annotations
@@ -155,29 +155,6 @@ class Game:
 
     def format_bits(self, mask: int) -> str:
         return format(mask, f"0{self.n}b")[::-1] if self.n else ""
-
-    # -- utilities and best responses --------------------------------------
-
-    def _br_bits(self, k: int, x: int) -> int:
-        """Best-response set of player index k as a 2-bit code.
-
-        Bit 0 set means action 0 is a best response, bit 1 likewise for
-        action 1.  Never 0: at least one action is always optimal.
-        """
-        s = 0
-        for j, w in self._nbrw[k]:
-            if x >> j & 1:
-                s += w
-        t = self._thr_int[k]
-        if s > t:
-            code = 2
-        elif s < t:
-            code = 1
-        else:
-            code = 3
-        if self._sign[k] < 0 and code != 3:
-            code ^= 3
-        return code
 
 
 def _check_config(game: Game, x, what: str) -> None:

@@ -1,20 +1,50 @@
-"""The scalar evaluators: one player's utility and best response, and the
-Nash test, at one configuration.
+"""The scalar evaluators: one player's utility and best response, the Nash
+test, and the best-response update rule, at one configuration.
+
+A transition flips a single player's action to one of its current best
+responses.  Re-picking the current action is allowed by the update rule but
+never changes the state, so ``br_transitions`` lists only the
+state-changing moves; ``validate_br_path`` accepts both.
 
 ``utility_by_definition`` and ``best_response_by_definition`` are the
 oracles the tests check the fast paths against; they read only the graph
-and the thresholds.  The exhaustive scans in ``configsets`` and the runs in
-``simulation`` never call this module, so no command compiles it.
+and the thresholds.  The exhaustive scans in ``configsets``, the runs in
+``simulation`` and the path construction never call this module, so no
+command compiles it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .game import Game, _check_config
+from .errors import PathValidationError
+from .game import BRPath, Game, _check_config
 from .graph import ZERO
+from .rationals import shown
 
 _BR_SETS = {1: frozenset((0,)), 2: frozenset((1,)), 3: frozenset((0, 1))}
+
+
+def _br_bits(game: Game, k: int, x: int) -> int:
+    """Best-response set of player index k as a 2-bit code.
+
+    Bit 0 set means action 0 is a best response, bit 1 likewise for
+    action 1.  Never 0: at least one action is always optimal.
+    """
+    s = 0
+    for j, w in game._nbrw[k]:
+        if x >> j & 1:
+            s += w
+    t = game._thr_int[k]
+    if s > t:
+        code = 2
+    elif s < t:
+        code = 1
+    else:
+        code = 3
+    if game._sign[k] < 0 and code != 3:
+        code ^= 3
+    return code
 
 
 def utility(game: Game, node, x: int) -> Fraction:
@@ -64,7 +94,7 @@ def best_response(game: Game, node, x: int) -> frozenset:
     weight ties ``r_i * w_i``.
     """
     _check_config(game, x, "evaluated")
-    return _BR_SETS[game._br_bits(game.graph.index(node), x)]
+    return _BR_SETS[_br_bits(game, game.graph.index(node), x)]
 
 
 def best_response_by_definition(game: Game, node, x: int) -> frozenset:
@@ -85,11 +115,57 @@ def deviations(game: Game, x: int) -> list:
     _check_config(game, x, "evaluated")
     out = []
     for k in range(game.n):
-        if not game._br_bits(k, x) >> (x >> k & 1) & 1:
+        if not _br_bits(game, k, x) >> (x >> k & 1) & 1:
             out.append(game.nodes[k])
     return out
 
 
 def is_nash(game: Game, x: int) -> bool:
     _check_config(game, x, "evaluated")
-    return all(game._br_bits(k, x) >> (x >> k & 1) & 1 for k in range(game.n))
+    return all(_br_bits(game, k, x) >> (x >> k & 1) & 1 for k in range(game.n))
+
+
+def validate_br_path(game: Game, path: BRPath) -> None:
+    """Check the update rule at every step; raise PathValidationError on the
+    first violation.  No-op steps (re-picking the current action) pass.
+    """
+    if len(path.configs) != len(path.steps) + 1:
+        raise PathValidationError(
+            f"{len(path.configs)} configurations for {len(path.steps)} steps"
+        )
+    for x in path.configs:
+        _check_config(game, x, "path")
+    for k, step in enumerate(path.steps):
+        try:
+            node, action = step
+        except (TypeError, ValueError):
+            raise PathValidationError(f"step {k}: {shown(step)} is not a (node, action) pair") from None
+        before = path.configs[k]
+        after = path.configs[k + 1]
+        bit = 1 << game.graph.index(node)
+        if before & ~bit != after & ~bit:
+            raise PathValidationError(f"step {k}: players other than {shown(node)} changed")
+        if not isinstance(action, int) or (1 if after & bit else 0) != action:
+            raise PathValidationError(
+                f"step {k}: configuration does not apply action {shown(action)} of {shown(node)}"
+            )
+        if not _br_bits(game, game.graph.index(node), before) >> action & 1:
+            raise PathValidationError(
+                f"step {k}: action {shown(action)} is not a best response of {shown(node)}"
+            )
+
+
+def br_transitions(game: Game, x: int) -> list:
+    """All state-changing single-player updates from ``x``.
+
+    Returns (node, new_action, new_configuration) triples in ascending node
+    order.  Empty exactly when every player strictly prefers its current
+    action (a tie still contributes a move to the other action).
+    """
+    _check_config(game, x, "source")
+    out = []
+    for k in range(game.n):
+        cur = x >> k & 1
+        if _br_bits(game, k, x) >> (1 - cur) & 1:
+            out.append((game.nodes[k], 1 - cur, x ^ (1 << k)))
+    return out

@@ -32,6 +32,7 @@ from cacgames import (
     utility,
     validate_br_path,
 )
+from cacgames.scalar import _br_bits
 
 HALF = Fraction(1, 2)
 
@@ -484,7 +485,7 @@ def _consensus_path_by_rescan(game, x0, mode):
         )
 
     def restless(players):
-        return next((k for k in players if not game._br_bits(k, x) >> (x >> k & 1) & 1), None)
+        return next((k for k in players if not _br_bits(game, k, x) >> (x >> k & 1) & 1), None)
 
     coord = [k for k in range(game.n) if game.coord_mask >> k & 1]
     anti = [k for k in range(game.n) if not game.coord_mask >> k & 1]
@@ -499,7 +500,7 @@ def _consensus_path_by_rescan(game, x0, mode):
                     break
                 # no coordinating player is restless, so a switch that is a
                 # best response is an exact tie
-                ties = [j for j in coord if game._br_bits(j, x) >> (1 - (x >> j & 1)) & 1]
+                ties = [j for j in coord if _br_bits(game, j, x) >> (1 - (x >> j & 1)) & 1]
                 if not ties:
                     raise violation("no coordinating player can move toward consensus")
                 toward = [j for j in ties if 1 - (x >> j & 1) == prefer]
@@ -558,7 +559,7 @@ def test_consensus_path_matches_the_rescan_construction(knife_edge_game):
                 paths += 1
                 chain_paths += runs == 20
                 ties += sum(
-                    game._br_bits(game.graph.index(v), before) == 3
+                    _br_bits(game, game.graph.index(v), before) == 3
                     for (v, _), before in zip(want.steps, want.configs)
                 )
     assert chain_paths == 3 * 2 * 20  # both modes succeed from every chain start
@@ -585,6 +586,13 @@ def test_validator_rejects_corrupted_paths(games):
     # length mismatch
     with pytest.raises(PathValidationError, match="configurations"):
         validate_br_path(k3, BRPath(good.steps, good.configs + (0,)))
+    # a step that is not a (node, action) pair
+    for step in ((1,), (1, 1, 5), 7):
+        with pytest.raises(PathValidationError, match=r"^step 0: .* is not a \(node, action\) pair"):
+            validate_br_path(k3, BRPath((step,), (0b000, 0b001)))
+    # an unknown node is bad input, as in every evaluator
+    with pytest.raises(GameInputError, match="unknown node 9"):
+        validate_br_path(k3, BRPath(((9, 1),), (0b000, 0b001)))
     # no-op steps are allowed when the action is optimal
     validate_br_path(k3, BRPath(((3, 1),), (0b100, 0b100)))
 
@@ -683,7 +691,7 @@ def test_play_gains_match_the_best_responses(knife_edge_game):
         for x in [0, (1 << game.n) - 1] + [rng.getrandbits(game.n) for _ in range(10)]:
             play = cg.simulation._Play(game, x)
             for k in range(game.n):
-                code = game._br_bits(k, x)
+                code = _br_bits(game, k, x)
                 assert (play.gain[k] > 0) == (not code >> (x >> k & 1) & 1), (game.n, x, k)
                 assert (play.gain[k] == 0) == (code == 3), (game.n, x, k)
             assert play.restless == {k for k in range(game.n) if play.gain[k] > 0}
@@ -767,7 +775,7 @@ def _simulate_by_rescan(game, x0, scheduler, seed, max_steps):
                 break
             seen.add((x, k))
         ticks += 1
-        bits = game._br_bits(k, x)
+        bits = _br_bits(game, k, x)
         cur = x >> k & 1
         if bits == 3:
             seen = None
@@ -799,7 +807,7 @@ def test_incremental_simulation_matches_a_full_rescan(knife_edge_game):
                     game.n, scheduler, seed, max_steps)
                 statuses.add((scheduler, got.status))
                 for before, after in zip(got.configs, got.configs[1:]):
-                    ties += game._br_bits((before ^ after).bit_length() - 1, before) == 3
+                    ties += _br_bits(game, (before ^ after).bit_length() - 1, before) == 3
     assert len(statuses) == 8  # every status under every scheduler that can give it
     assert ties > 1000  # coin flips that switched a tied player
 

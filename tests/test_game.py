@@ -31,6 +31,7 @@ from cacgames.configsets import (
     _stay,
 )
 from cacgames.game import _cleared, _threshold_map
+from cacgames.scalar import _br_bits
 
 HALF = Fraction(1, 2)
 
@@ -230,8 +231,8 @@ def test_configurations_walk_one_sub_cube_ascending():
 def test_bitset_scans_match_the_scalar_oracles(knife_edge_game):
     # The bitset builder against ``_br_bits`` and the by-definition oracle,
     # bit by bit, on the full cube and on random sub-cubes; the game's
-    # ``_stay`` table likewise; the equilibrium scan against a brute-force
-    # filter of every configuration.
+    # ``_stay`` table likewise; the equilibrium scan and ``enumerate_nash``
+    # against a brute-force filter of every configuration.
     rng = random.Random(31)
     ties = 0
     for trial in range(60):
@@ -243,7 +244,7 @@ def test_bitset_scans_match_the_scalar_oracles(knife_edge_game):
         for k in range(n):
             stay = _stay(game, k)
             for x in range(1 << n):
-                assert stay >> x & 1 == game._br_bits(k, x) >> (x >> k & 1) & 1, (trial, k, x)
+                assert stay >> x & 1 == _br_bits(game, k, x) >> (x >> k & 1) & 1, (trial, k, x)
         for free in ((1 << n) - 1, rng.getrandbits(n), rng.getrandbits(n)):
             base = rng.getrandbits(n) & ~free
             literals = _literals(free)
@@ -253,7 +254,7 @@ def test_bitset_scans_match_the_scalar_oracles(knife_edge_game):
                 assert ones | zeros == (1 << len(configs)) - 1
                 for p, x in enumerate(configs):
                     code = (zeros >> p & 1) | (ones >> p & 1) << 1
-                    assert code == game._br_bits(k, x), (trial, k, x)
+                    assert code == _br_bits(game, k, x), (trial, k, x)
                     assert best_response_by_definition(game, node, x) == {
                         a for a in (0, 1) if code >> a & 1
                     }, (trial, k, x)
@@ -262,9 +263,11 @@ def test_bitset_scans_match_the_scalar_oracles(knife_edge_game):
                 brute = [
                     x for x in range(1 << n)
                     if x & ~free == base
-                    and all(game._br_bits(k, x) >> (x >> k & 1) & 1 for k in players)
+                    and all(_br_bits(game, k, x) >> (x >> k & 1) & 1 for k in players)
                 ]
                 assert _equilibria(game, base, free, players) == brute, (trial, free)
+                if free == (1 << n) - 1 and players == range(n):
+                    assert enumerate_nash(game) == brute, trial
     assert ties > 1000
 
 

@@ -46,6 +46,12 @@ def test_loading_a_game_file_compiles_no_analysis_module(tmp_path):
     assert all(name.isalnum() for name in cg.FIXTURES)
 
 
+def test_the_scalar_route_compiles_only_the_game_and_scalar():
+    loaded = _loaded("import sys, cacgames as cg\ncg.validate_br_path, cg.br_transitions, cg.is_nash")
+    assert set(loaded) == {"cacgames", "cacgames.errors", "cacgames.rationals",
+                           "cacgames.graph", "cacgames.game", "cacgames.scalar"}
+
+
 @pytest.mark.parametrize("argv, modules", [
     (["gen", "--nodes", "4"], {"generate"}),
     (["export", "k3"], {"fixtures"}),

@@ -493,18 +493,18 @@ def _assert_restricted_potentials(game):
             assert view.potential(x) == phi(game, view.merged(x)), (side, x)
 
 
-def test_potential_identity_on_small_fixtures(games, check_potential_identity):
+def test_potential_identity_on_small_fixtures(games):
+    # node 10 of fig3 has no same-side neighbors at all; criterion 8 checks
+    # the identity itself on every fixture
     for name in ("pennies", "k3", "fig2a", "fig2b", "fig2c", "fig3"):
-        check_potential_identity(games[name])
         _assert_restricted_potentials(games[name])
 
 
-def test_potential_identity_covers_degenerate_nodes(games, check_potential_identity):
-    # node 10 of fig3 has no same-side neighbors at all
-    g = WeightedGraph([1, 2, 3], [(2, 3, 1)])
-    for game in (games["fig3"], Game(g, {1}, Fraction(1, 3))):
-        check_potential_identity(game)
-        _assert_restricted_potentials(game)
+def test_potential_identity_covers_degenerate_nodes(check_potential_identity):
+    # coordinating player 1 has no neighbors, an input criterion 8 lacks
+    isolated = Game(WeightedGraph([1, 2, 3], [(2, 3, 1)]), {1}, Fraction(1, 3))
+    _assert_restricted_potentials(isolated)
+    check_potential_identity(isolated)
 
 
 def test_cleared_coefficient_matches_modified_threshold():
