@@ -6,12 +6,15 @@ output.  All output is deterministic for a fixed seed; exit codes are
 0 success, 1 input error, 2 size cap, 3 precondition failure, 4 internal
 guarantee violation, 141 standard output closed by its reader.  Each
 command's options and body live in ``commands.<name>``, and a call imports
-only the module of its own command.
+only the module of its own command.  A process enters through ``entry``,
+both as ``python -m cacgames.cli`` and as the ``cacgames`` script; ``main``
+is the in-process call.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from importlib import import_module
@@ -97,5 +100,17 @@ def main(argv=None) -> int:
         return 4
 
 
+def entry():
+    """Run ``main`` on the command line and exit the process with its code.
+
+    At exit the interpreter runs full collections over every object the
+    call left tracked; freezing them first leaves those collections nothing
+    to traverse.  ``gc.freeze`` allocates nothing, and the stream flush and
+    ``atexit`` still run."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

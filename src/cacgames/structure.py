@@ -49,12 +49,17 @@ def cohesiveness(graph: WeightedGraph, members: Iterable, thresholds) -> Cohesiv
     mask = graph.mask_of(members)
     member_list = graph.members_of(mask)
     th = _threshold_map(member_list, thresholds)
-    scale, rows, totals = _cleared(graph, member_list, th)
+    return _cohesiveness(member_list, mask, *_cleared(graph, member_list, th))
+
+
+def _cohesiveness(members, mask, scale, rows, required) -> CohesivenessReport:
+    """Cohesiveness of ``mask`` from each member's ``(index, weight)`` row and
+    required inside weight, all on the integer ``scale``."""
     violators = []
-    for v, row, required in zip(member_list, rows, totals):
+    for v, row, need in zip(members, rows, required):
         inside = sum(w for j, w in row if mask >> j & 1)
-        if inside < required:
-            violators.append((v, Fraction(inside, scale), Fraction(required, scale)))
+        if inside < need:
+            violators.append((v, Fraction(inside, scale), Fraction(need, scale)))
     return CohesivenessReport(holds=not violators, violators=tuple(violators))
 
 
@@ -104,16 +109,16 @@ class _PartitionScan:
     is a decomposition when every member is satisfied.
     """
 
-    def __init__(self, graph: WeightedGraph, members: Iterable, thresholds, mode: str):
-        _check_mode(mode)
-        self.members = graph.members_of(graph.mask_of(members))
-        th = _threshold_map(self.members, thresholds)
-        m = len(self.members)
-        _, rows, totals = _cleared(graph, self.members, th)
-        pos = {graph._index[v]: k for k, v in enumerate(self.members)}
-        # Per member, on ``_cleared``'s scale: weights to other members, by
-        # member position, and the largest cut allowed in part1 and in part0.
-        # Weak mode lowers each budget by one: on integers, ``cut >= b`` is
+    def __init__(self, graph: WeightedGraph, members: list, rows, totals, mode: str):
+        """``members`` sorted, with each one's ``(index, weight)`` row and
+        ``r * w``, all on one integer scale, ``_cleared``'s or the game's."""
+        self.members = members
+        m = len(members)
+        pos = {graph._index[v]: k for k, v in enumerate(members)}
+        # Per member, on that scale: weights to other members, by member
+        # position, and the largest cut allowed in part1 and in part0.  Any
+        # scale that clears them all gives the same comparisons, and weak
+        # mode lowers each budget by one: on integers, ``cut >= b`` is
         # ``cut > b - 1``.
         slack = 0 if mode == "strict" else 1
         self.internal = [tuple((pos[j], w) for j, w in row if j in pos) for row in rows]
@@ -185,6 +190,13 @@ class _PartitionScan:
         return PartitionWitness(part0, part1, self.members[k], condition)
 
 
+def _scan(graph: WeightedGraph, members: Iterable, thresholds, mode: str) -> _PartitionScan:
+    _check_mode(mode)
+    members = graph.members_of(graph.mask_of(members))
+    _, rows, totals = _cleared(graph, members, _threshold_map(members, thresholds))
+    return _PartitionScan(graph, members, rows, totals, mode)
+
+
 def partition_certificate(
     graph: WeightedGraph,
     members: Iterable,
@@ -199,7 +211,7 @@ def partition_certificate(
     certified, or one with ``certifying_player=None`` when the partition is
     a decomposition (both halves self-supporting).
     """
-    scan = _PartitionScan(graph, members, thresholds, mode)
+    scan = _scan(graph, members, thresholds, mode)
     p0 = frozenset(part0)
     p1 = frozenset(part1)
     if not p0 or not p1 or p0 | p1 != frozenset(scan.members) or p0 & p1:
@@ -226,7 +238,10 @@ def indecomposability(
     trivially.  A search that passes ``PARTITION_NODE_CAP`` nodes raises
     SizeCapError.
     """
-    scan = _PartitionScan(graph, members, thresholds, mode)
+    return _decide(_scan(graph, members, thresholds, mode), mode)
+
+
+def _decide(scan: _PartitionScan, mode: str) -> IndecomposabilityReport:
     if scan.m < 2:
         return IndecomposabilityReport(True, mode, None, 0)
     first = next(scan.decompositions(), None)
@@ -239,7 +254,7 @@ def decomposition_witnesses(
 ) -> Iterator[PartitionWitness]:
     """Yield every partition that defeats indecomposability, in ascending
     bitmask order of the first part."""
-    scan = _PartitionScan(graph, members, thresholds, mode)
+    scan = _scan(graph, members, thresholds, mode)
     for mask0 in scan.decompositions():
         yield scan.witness_at(mask0, None)
 
@@ -251,10 +266,22 @@ def game_cohesiveness(game: Game, toward: int = 1) -> CohesivenessReport:
     complementary 1 - r_i (supports all-zeros consensus).
     """
     _check_action(toward, "toward")
-    r = game.thresholds
-    th = r if toward == 1 else {v: 1 - r[v] for v in game.coordinating}
-    return cohesiveness(game.graph, game.coordinating, th)
+    members, rows, totals = _coordinating_tables(game)
+    if not toward:
+        # on the game's scale (1 - r) * w is the degree less r * w
+        totals = [sum(w for _, w in row) - t for row, t in zip(rows, totals)]
+    return _cohesiveness(members, game.coord_mask, game._scale, rows, totals)
 
 
 def game_indecomposability(game: Game, mode: str = "strict") -> IndecomposabilityReport:
-    return indecomposability(game.graph, game.coordinating, game.thresholds, mode=mode)
+    """Indecomposability of the coordinating set in the game's own thresholds."""
+    _check_mode(mode)
+    return _decide(_PartitionScan(game.graph, *_coordinating_tables(game), mode), mode)
+
+
+def _coordinating_tables(game: Game) -> tuple:
+    """The coordinating players, sorted, with each one's ``(index, weight)``
+    row and ``r * w``, read from the game's own tables on its one scale."""
+    idx = game._coord_idx
+    return (game.graph.members_of(game.coord_mask),
+            [game._nbrw[k] for k in idx], [game._thr_int[k] for k in idx])

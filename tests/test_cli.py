@@ -1,10 +1,12 @@
 """Command-line behavior: reports, exit codes, determinism."""
 
 import argparse
+import gc
 import hashlib
 import json
 import os
 import re
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -383,6 +385,35 @@ def test_closed_stdout_exits_141_without_a_traceback():
     _, err = proc.communicate(timeout=60)
     assert proc.returncode == 141
     assert err == b""
+
+
+def test_in_process_main_freezes_nothing(capsys, monkeypatch):
+    frozen = []
+    monkeypatch.setattr(gc, "freeze", lambda: frozen.append(None))
+    before = gc.get_freeze_count()
+    assert run(capsys, "reach", "k3", "--all")[0] == 0
+    assert run(capsys, "reach", "pennies", "--all")[0] == 1
+    assert gc.get_freeze_count() == before and frozen == []
+
+
+# runpy warns that the package already imported the module it runs again
+@pytest.mark.filterwarnings("ignore:'cacgames.cli' found in sys.modules:RuntimeWarning")
+@pytest.mark.parametrize(
+    "argv, code", [(["reach", "k3", "--all"], 0), (["reach", "pennies", "--all"], 1)])
+def test_the_process_entry_freezes_once_after_the_output(argv, code, capsys, monkeypatch):
+    # the recorder stands in for gc.freeze, so pytest's own heap is never
+    # frozen, and takes the output written before the freeze
+    frozen = []
+    monkeypatch.setattr(gc, "freeze", lambda: frozen.append(tuple(capsys.readouterr())))
+    monkeypatch.setattr(sys, "argv", ["cacgames", *argv])
+    # runpy is what ``python -m cacgames.cli`` runs
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("cacgames.cli", run_name="__main__")
+    assert capsys.readouterr() == ("", "")
+    assert len(frozen) == 1 and exc.value.code == code
+    assert (code, *frozen[0]) == run(capsys, *argv)
+    if code:
+        assert frozen[0] == ("", "error: target set must be non-empty\n")
 
 
 def test_cli_import_loads_neither_dataclasses_nor_pathlib():

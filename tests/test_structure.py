@@ -213,6 +213,27 @@ def test_predicates_match_the_fraction_definitions(knife_edge_game):
                 assert (wit.certifying_player, wit.condition) == (expected or (None, None))
 
 
+def test_game_predicates_match_the_graph_predicates(knife_edge_game):
+    """The game-level predicates read the game's own tables, on a scale that
+    clears every player; the graph-level ones clear the coordinating set
+    alone.  Both give the same violators, witnesses and node counts."""
+    rng = random.Random(59)
+    for trial in range(90):
+        n = rng.randint(1, 9)
+        if trial % 3 == 0:
+            game = knife_edge_game(rng, n)
+        elif trial % 3 == 1:
+            game = _fractional_weight_game(rng, n)
+        else:
+            game = cg.random_game(rng, n, coord_frac=Fraction(3, 4), max_weight=4)
+        graph, coordinating, r = game.graph, game.coordinating, game.thresholds
+        for toward, th in ((1, r), (0, {v: 1 - r[v] for v in coordinating})):
+            assert cg.game_cohesiveness(game, toward) == cohesiveness(graph, coordinating, th)
+        for mode in ("strict", "weak"):
+            assert game_indecomposability(game, mode) == indecomposability(
+                graph, coordinating, r, mode=mode)
+
+
 @pytest.mark.parametrize("mode", ["strict", "weak"])
 def test_pruned_search_stays_small_on_k30(mode):
     ids = range(1, 31)
