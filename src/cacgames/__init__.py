@@ -4,8 +4,17 @@ predicates, and best-response dynamics, all in exact rational arithmetic.
 
 The public names are imported from their home modules on first use
 (PEP 562), so a caller, and each command-line call, compiles only the
-modules it touches.  ``tests/test_package.py`` pins the modules that
-loading a game and each command compile.
+modules it touches.  The rule for where code lives: no command compiles a
+module-level function or class that it can never call.  The exceptions
+are shared on purpose: the modules that load a game and the ``commands``
+package, which every command compiles; ``configsets``, whose scans
+``analyze`` and ``reach`` share; and ``writers``, which ``gen`` and
+``export`` share.  So the gain table ``_Play`` has a module of its own,
+``play``, which ``simulation`` and ``dynamics`` import; the graph-level
+predicates, which no command calls, live in ``predicates``; and a game
+load compiles no writer.
+``tests/test_package.py`` pins the modules that loading a game and each
+command compile.
 """
 
 from importlib import import_module
@@ -30,19 +39,22 @@ _HOMES = {
     "simulation": ("Trajectory", "simulate"),
     "structure": (
         "CohesivenessReport", "IndecomposabilityReport", "PartitionWitness",
-        "cohesiveness", "decomposition_witnesses", "game_cohesiveness",
-        "game_indecomposability", "indecomposability", "partition_certificate",
+        "game_cohesiveness", "game_indecomposability",
+    ),
+    "predicates": (
+        "cohesiveness", "decomposition_witnesses", "indecomposability", "partition_certificate",
     ),
     "restricted": ("RestrictedGame", "anticoordination_potential", "coordination_potential"),
     "dynamics": ("construct_consensus_path",),
     "fixtures": ("FIXTURES", "fixture", "fixture_names"),
-    "gamefile": ("load_game", "parse_game", "serialize_game", "to_dot"),
+    "gamefile": ("load_game", "parse_game"),
+    "writers": ("serialize_game", "to_dot"),
     "generate": ("random_game",),
     "rationals": ("as_rational", "format_rational"),
 }
 # Public name -> home module; submodules (``cacgames.game``, ...) resolve too.
 _HOME = {name: module for module, names in _HOMES.items() for name in names}
-_SUBMODULES = {*_HOMES, "cli"}
+_SUBMODULES = {*_HOMES, "play", "cli"}
 
 __all__ = sorted(_HOME)
 

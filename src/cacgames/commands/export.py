@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import sys
 
-from ..gamefile import to_dot
+from ..writers import to_dot
 from . import _add_game_argument, _resolve_game
 
 

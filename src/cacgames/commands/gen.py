@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import sys
 
-from ..gamefile import serialize_game
 from ..rationals import as_rational
+from ..writers import serialize_game
 
 
 def options(p) -> None:
@@ -25,7 +25,8 @@ def run(args) -> int:
         args.nodes,
         edge_prob=as_rational(args.edge_prob, what="--edge-prob"),
         coord_frac=as_rational(args.coord_frac, what="--coord-frac"),
-        threshold=args.threshold,
+        threshold=(args.threshold if args.threshold == "random"
+                   else as_rational(args.threshold, what="--threshold")),
         max_weight=args.max_weight,
     )
     sys.stdout.write(serialize_game(game))

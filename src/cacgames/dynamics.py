@@ -10,8 +10,8 @@ from typing import Optional
 
 from .errors import GuaranteeViolationError, PreconditionError
 from .game import BRPath, Game, _check_config
+from .play import _Play
 from .rationals import shown
-from .simulation import _Play
 from .structure import _check_mode, game_cohesiveness, game_indecomposability
 
 

@@ -1,4 +1,4 @@
-"""Game files: a small JSON format plus DOT export.
+"""Game files: reading the small JSON format.
 
 A game file is an object with two keys::
 
@@ -14,8 +14,7 @@ fields, the role names and the id types.  It hands the node and edge lists
 to ``WeightedGraph`` in file order, so the graph's diagnostics name the
 file's ``nodes[k]`` or ``edges[k]`` entry; the graph owns every id and
 edge check, and ``Game`` converts the thresholds and checks their range.
-Serialization is canonical (sorted nodes and edges, two-space indent), so
-parse followed by serialize reproduces a canonical file byte for byte.
+The writers, ``serialize_game`` and ``to_dot``, live in ``writers``.
 """
 
 from __future__ import annotations
@@ -24,12 +23,11 @@ import json
 import re
 import sys
 from operator import itemgetter
-from typing import Optional
 
 from .errors import GameInputError, SizeCapError
-from .game import Game, _check_config
+from .game import Game
 from .graph import WeightedGraph
-from .rationals import format_rational, shown
+from .rationals import shown
 
 ROLES = ("coordinating", "anticoordinating")
 # a file entry's fields in order; a missing one raises KeyError with its name
@@ -110,46 +108,3 @@ def load_game(path: str) -> Game:
     except UnicodeError:
         raise GameInputError(f"cannot read {shown(path)}: not UTF-8 text") from None
     return parse_game(text)
-
-
-def serialize_game(game: Game) -> str:
-    """Canonical JSON text for a game (ends with a newline)."""
-    nodes = [
-        {
-            "id": v,
-            "role": "coordinating" if v in game.coordinating else "anticoordinating",
-            "threshold": format_rational(game.thresholds[v]),
-        }
-        for v in game.nodes
-    ]
-    edges = [
-        {"u": u, "v": v, "weight": format_rational(w)}
-        for u, v, w in game.graph.edges()
-    ]
-    return json.dumps({"nodes": nodes, "edges": edges}, indent=2) + "\n"
-
-
-def to_dot(game: Game, config: Optional[int] = None) -> str:
-    """Graphviz text: roles as node colors, weights as edge labels, and an
-    optional action overlay (players at 1 drawn filled).
-    """
-    if config is not None:
-        _check_config(game, config, "overlay")
-    lines = ["graph game {"]
-    for k, v in enumerate(game.nodes):
-        color = "blue" if v in game.coordinating else "red"
-        attrs = [f"color={color}"]
-        if config is not None:
-            attrs.append(
-                "style=filled, fillcolor=lightgray" if config >> k & 1 else "style=solid"
-            )
-        lines.append(f'  {_dot_id(v)} [{", ".join(attrs)}];')
-    for u, v, w in game.graph.edges():
-        lines.append(f'  {_dot_id(u)} -- {_dot_id(v)} [label="{format_rational(w)}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def _dot_id(v) -> str:
-    """A node id as a quoted DOT string."""
-    return '"' + str(v).replace("\\", "\\\\").replace('"', '\\"') + '"'

@@ -1,6 +1,5 @@
-"""Structural predicates: cohesiveness and indecomposability.
-
-Two graph-level predicates drive the whole analysis:
+"""Structural predicates of a game: cohesiveness and indecomposability of
+its coordinating set, read from the game's own tables.
 
 * cohesiveness: every member of a subset keeps at least an ``r_i`` fraction
   of its degree inside the subset;
@@ -8,16 +7,19 @@ Two graph-level predicates drive the whole analysis:
   labeled halves (each together with the anti-coordinating side) cohesive
   enough to be self-supporting.
 
-The restricted games obtained by freezing one side live in ``restricted``.
+This module holds their reports, the violator loop, the partition scan and
+its decision.  The graph-level predicates, which take a member set and
+thresholds of their own, live in ``predicates``; the restricted games
+obtained by freezing one side live in ``restricted``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .errors import GameInputError, SizeCapError
-from .game import Game, _check_action, _cleared, _threshold_map
+from .game import Game, _check_action
 from .graph import WeightedGraph
 from .rationals import shown
 
@@ -39,17 +41,6 @@ class CohesivenessReport(NamedTuple):
 
     def __bool__(self) -> bool:
         return self.holds
-
-
-def cohesiveness(graph: WeightedGraph, members: Iterable, thresholds) -> CohesivenessReport:
-    """Check that each member keeps at least its threshold fraction of
-    degree inside ``members``.  Isolated members pass vacuously (0 >= 0).
-    The comparison is non-strict.
-    """
-    mask = graph.mask_of(members)
-    member_list = graph.members_of(mask)
-    th = _threshold_map(member_list, thresholds)
-    return _cohesiveness(member_list, mask, *_cleared(graph, member_list, th))
 
 
 def _cohesiveness(members, mask, scale, rows, required) -> CohesivenessReport:
@@ -130,18 +121,6 @@ class _PartitionScan:
         self.m = m
         self.nodes_visited = 0
 
-    def certifier(self, mask0: int):
-        """First member certifying the partition, or None if the partition
-        is a decomposition.  ``mask0`` selects part0 over the sorted member
-        list; the complement is part1.
-        """
-        for k in range(self.m):
-            in_part0 = mask0 >> k & 1
-            cut = sum(w for j, w in self.internal[k] if (mask0 >> j & 1) != in_part0)
-            if cut > self.budget[k][in_part0]:
-                return k, ("part0" if in_part0 else "part1")
-        return None
-
     def decompositions(self) -> Iterator[int]:
         """Yield the ``mask0`` of every decomposition, ascending.
 
@@ -190,73 +169,12 @@ class _PartitionScan:
         return PartitionWitness(part0, part1, self.members[k], condition)
 
 
-def _scan(graph: WeightedGraph, members: Iterable, thresholds, mode: str) -> _PartitionScan:
-    _check_mode(mode)
-    members = graph.members_of(graph.mask_of(members))
-    _, rows, totals = _cleared(graph, members, _threshold_map(members, thresholds))
-    return _PartitionScan(graph, members, rows, totals, mode)
-
-
-def partition_certificate(
-    graph: WeightedGraph,
-    members: Iterable,
-    thresholds,
-    part0: Iterable,
-    part1: Iterable,
-    mode: str = "strict",
-) -> PartitionWitness:
-    """Evaluate one labeled partition.
-
-    Returns a witness carrying the certifying player when the partition is
-    certified, or one with ``certifying_player=None`` when the partition is
-    a decomposition (both halves self-supporting).
-    """
-    scan = _scan(graph, members, thresholds, mode)
-    p0 = frozenset(part0)
-    p1 = frozenset(part1)
-    if not p0 or not p1 or p0 | p1 != frozenset(scan.members) or p0 & p1:
-        raise GameInputError("part0 and part1 must be non-empty and partition the members")
-    mask0 = 0
-    for k, v in enumerate(scan.members):
-        if v in p0:
-            mask0 |= 1 << k
-    return scan.witness_at(mask0, scan.certifier(mask0))
-
-
-def indecomposability(
-    graph: WeightedGraph,
-    members: Iterable,
-    thresholds,
-    mode: str = "strict",
-) -> IndecomposabilityReport:
-    """Decide indecomposability by a pruned search over labeled partitions.
-
-    The search meets decompositions in ascending bitmask order of the first
-    part and stops at the first one; that partition is reported as the
-    witness, the same one an exhaustive ascending scan would find.
-    With fewer than two members no partition exists, so the predicate holds
-    trivially.  A search that passes ``PARTITION_NODE_CAP`` nodes raises
-    SizeCapError.
-    """
-    return _decide(_scan(graph, members, thresholds, mode), mode)
-
-
 def _decide(scan: _PartitionScan, mode: str) -> IndecomposabilityReport:
     if scan.m < 2:
         return IndecomposabilityReport(True, mode, None, 0)
     first = next(scan.decompositions(), None)
     witness = None if first is None else scan.witness_at(first, None)
     return IndecomposabilityReport(first is None, mode, witness, scan.nodes_visited)
-
-
-def decomposition_witnesses(
-    graph: WeightedGraph, members: Iterable, thresholds, mode: str = "strict"
-) -> Iterator[PartitionWitness]:
-    """Yield every partition that defeats indecomposability, in ascending
-    bitmask order of the first part."""
-    scan = _scan(graph, members, thresholds, mode)
-    for mask0 in scan.decompositions():
-        yield scan.witness_at(mask0, None)
 
 
 def game_cohesiveness(game: Game, toward: int = 1) -> CohesivenessReport:

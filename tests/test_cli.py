@@ -121,6 +121,13 @@ def test_command_line_errors_exit_1_with_a_short_message(tmp_path, capsys):
     code, out, err = run(capsys, "simulate", "pennies", "--runs", "x" * 20_000)
     assert code == 1 and out == ""
     assert len(err.encode()) < 300
+    # a rational option names itself, whichever one it is
+    code, out, err = run(capsys, "gen", "--nodes", "2", "--threshold", "0.5")
+    assert code == 1 and out == ""
+    assert err == "error: --threshold: malformed rational '0.5' (expected 'p' or 'p/q')\n"
+    code, out, err = run(capsys, "gen", "--nodes", "2", "--threshold", "3/2")
+    assert code == 1 and out == ""
+    assert err == "error: threshold must lie strictly between 0 and 1, got 3/2\n"
     game = cg.Game(cg.WeightedGraph(range(1, 18)), range(1, 18), "1/2")
     path = tmp_path / "wide.json"
     path.write_text(cg.serialize_game(game))

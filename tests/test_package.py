@@ -15,7 +15,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 HEAVY = ("cacgames.structure", "cacgames.dynamics", "cacgames.cli",
          "cacgames.fixtures", "cacgames.generate", "cacgames.configsets",
          "cacgames.simulation", "cacgames.restricted", "cacgames.scalar",
-         "cacgames.commands")
+         "cacgames.commands", "cacgames.play", "cacgames.predicates", "cacgames.writers")
 # What every command compiles besides ``cacgames.cli``, which runs as
 # ``__main__``, and its own ``cacgames.commands.<name>``: the modules that
 # load a game, and the package the commands share.
@@ -53,18 +53,18 @@ def test_the_scalar_route_compiles_only_the_game_and_scalar():
 
 
 @pytest.mark.parametrize("argv, modules", [
-    (["gen", "--nodes", "4"], {"generate"}),
-    (["export", "k3"], {"fixtures"}),
-    (["simulate", "fig3", "--runs", "2"], {"simulation", "fixtures"}),
+    (["gen", "--nodes", "4"], {"generate", "writers"}),
+    (["export", "k3"], {"writers", "fixtures"}),
+    (["simulate", "fig3", "--runs", "2"], {"simulation", "play", "fixtures"}),
     (["reach", "fig3", "--all"], {"configsets", "fixtures"}),
     (["reach", "k3", "--from", "0*1"], {"configsets", "fixtures"}),
     (["analyze", "k3"], {"structure", "configsets", "fixtures"}),
     (["path", "k3", "--from", "000", "--mode", "weak"],
-     {"structure", "dynamics", "simulation", "fixtures"}),
+     {"structure", "dynamics", "play", "fixtures"}),
     # a --from pattern is a sub-cube the CLI walks itself
-    (["simulate", "k3", "--from", "0*1"], {"simulation", "fixtures"}),
+    (["simulate", "k3", "--from", "0*1"], {"simulation", "play", "fixtures"}),
     # a game file compiles no fixture table
-    (["simulate", "FILE", "--runs", "2"], {"simulation"}),
+    (["simulate", "FILE", "--runs", "2"], {"simulation", "play"}),
     (["analyze", "FILE"], {"structure", "configsets"}),
 ])
 def test_each_command_compiles_only_what_it_runs(argv, modules, tmp_path):
@@ -98,9 +98,9 @@ def test_star_import_binds_every_public_name():
 
 
 def test_submodules_resolve_and_unknown_names_do_not():
-    for module in ("errors", "graph", "game", "configsets", "simulation", "structure",
-                   "restricted", "dynamics", "fixtures", "gamefile", "generate", "rationals",
-                   "cli"):
+    for module in ("errors", "graph", "game", "configsets", "simulation", "play", "structure",
+                   "predicates", "restricted", "dynamics", "fixtures", "gamefile", "writers",
+                   "generate", "rationals", "cli"):
         assert getattr(cg, module) is importlib.import_module(f"cacgames.{module}")
     assert cg.configsets.ENUM_CAP == cg.ENUM_CAP
     # in a fresh interpreter the package's __getattr__ imports the submodule

@@ -294,6 +294,12 @@ def test_predicates_share_the_game_threshold_check(games, capsys):
 def test_bad_mode_rejected(games):
     with pytest.raises(GameInputError):
         game_indecomposability(games["k3"], mode="loose")
+    # the witness iterator checks its arguments at the call, before any next()
+    k3 = games["k3"]
+    with pytest.raises(GameInputError, match="mode must be 'strict' or 'weak', got 'bogus'"):
+        decomposition_witnesses(k3.graph, k3.coordinating, k3.thresholds, mode="bogus")
+    with pytest.raises(GameInputError, match="unknown node 999"):
+        decomposition_witnesses(k3.graph, [1, 999], k3.thresholds)
     # checked before the cohesiveness scans, so pennies (cohesive in neither
     # direction) reports the mode as well
     for name in ("k3", "pennies"):
