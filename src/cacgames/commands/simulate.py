@@ -26,7 +26,7 @@ def run(args) -> int:
 
     if args.runs < 0:
         raise GameInputError("--runs must be non-negative")
-    _check_run(args.scheduler, args.max_steps)
+    _check_run(args.scheduler, args.max_steps, args.seed)
     game = _resolve_game(args.game, r=args.r)
     starts = None if args.from_ is None else _sub_cube(*_parse_pattern(game, args.from_))
     # a seed past Python's digit limit cannot be echoed: refuse before run 0

@@ -78,16 +78,18 @@ def _literals(free: int) -> dict:
     return out
 
 
-def _best_response_sets(game: Game, k: int, base: int, literals: dict) -> tuple:
-    """(ones, zeros): the sub-cube's configurations at which action 1, and
-    at which action 0, is a best response of player index k.
+def _own_best(game: Game, k: int, base: int, literals: dict) -> int:
+    """The sub-cube's configurations at which player index k's own action is
+    a best response.
 
     ``literals`` comes from ``_literals(free)``.  The configurations are
     grouped by their integer 1-neighbour weight, one free neighbour at a
-    time, and each group is compared with ``r_k * w_k``; a tie lands in
-    both sets.  Weights are positive, so a group already above the
-    threshold, or below it even with every remaining free neighbour at 1,
-    is settled early.
+    time, and each group is compared with ``r_k * w_k``: a coordinating
+    player's best response is 1 above it, 0 below it and both at a tie, an
+    anti-coordinating player's the other way round.  Weights are positive,
+    so a group above the threshold, or below it even with every remaining
+    free neighbour at 1, settles early; a last pass with no neighbour left
+    settles every group but the tie.
     """
     s0, free_nbrs = 0, []
     for j, w in game._nbrw[k]:
@@ -99,7 +101,7 @@ def _best_response_sets(game: Game, k: int, base: int, literals: dict) -> tuple:
     rest = sum(w for _, w in free_nbrs)
     above = below = 0
     groups = {s0: (1 << (1 << len(literals))) - 1}
-    for lit, w in free_nbrs:
+    for lit, w in (*free_nbrs, (0, 0)):
         split = {}
         for s, group in groups.items():
             if s > t:
@@ -114,25 +116,12 @@ def _best_response_sets(game: Game, k: int, base: int, literals: dict) -> tuple:
                     split[s + w] = split.get(s + w, 0) | hi
         groups = split
         rest -= w
-    tie = 0
-    for s, group in groups.items():
-        if s > t:
-            above |= group
-        elif s < t:
-            below |= group
-        else:
-            tie = group
+    tie = groups.get(t, 0)
     ones, zeros = above | tie, below | tie
-    return (ones, zeros) if game._sign[k] > 0 else (zeros, ones)
-
-
-def _own_best(game: Game, k: int, base: int, literals: dict) -> int:
-    """The sub-cube's configurations at which player index k's own action is
-    a best response."""
-    ones, zeros = _best_response_sets(game, k, base, literals)
-    if k in literals:
-        return ones & literals[k] | zeros & ~literals[k]
-    return ones if base >> k & 1 else zeros
+    if game._sign[k] < 0:
+        ones, zeros = zeros, ones
+    own = literals[k] if k in literals else -(base >> k & 1)  # a fixed bit: all or none
+    return ones & own | zeros & ~own
 
 
 def _cube(game: Game) -> dict:
@@ -223,7 +212,8 @@ def _equilibria(game: Game, base: int, free: int, players) -> list:
         still &= _stay(game, k) if full else _own_best(game, k, base, literals)
         if not still:
             return []
-    return list(_configurations(base, free, ConfigSet(still)))
+    members = _positions(still.to_bytes((still.bit_length() + 7) >> 3, "little"))
+    return list(_configurations(base, free, members))
 
 
 def enumerate_nash(game: Game) -> list:

@@ -8,7 +8,7 @@ from fractions import Fraction
 from .errors import GameInputError
 from .game import Game
 from .graph import WeightedGraph
-from .rationals import as_rational
+from .rationals import as_rational, shown
 
 
 def random_threshold(rng: random.Random) -> Fraction:
@@ -29,13 +29,16 @@ def random_game(
     """Build a random instance deterministically from a seed.
 
     ``seed`` may also be a ``random.Random`` to draw from an existing
-    stream.  Each possible edge appears with probability ``edge_prob`` and
-    integer weight in 1..max_weight; each node coordinates with probability
-    ``coord_frac``.  ``threshold`` is "random" (independent small rationals)
-    or any exact rational applied uniformly.  Probabilities are exact
-    rationals compared against ``rng.random()``; they select, they do not
-    enter the game's arithmetic.
+    stream; a negative int is refused, since ``random.Random`` would seed
+    with its absolute value.  Each possible edge appears with probability
+    ``edge_prob`` and integer weight in 1..max_weight; each node
+    coordinates with probability ``coord_frac``.  ``threshold`` is "random"
+    (independent small rationals) or any exact rational applied uniformly.
+    Probabilities are exact rationals compared against ``rng.random()``;
+    they select, they do not enter the game's arithmetic.
     """
+    if isinstance(seed, int) and seed < 0:
+        raise GameInputError(f"seed must be non-negative, got {shown(seed)}")
     if nodes < 1:
         raise GameInputError("need at least one node")
     if max_weight < 1:

@@ -32,8 +32,10 @@ class Trajectory(NamedTuple):
     scheduler: str
 
 
-def _check_run(scheduler: str, max_steps: int) -> None:
-    """The run settings ``simulate`` accepts, checked before any run."""
+def _check_run(scheduler: str, max_steps: int, seed) -> None:
+    """The run settings ``simulate`` accepts, checked before any run.  A
+    negative int seed is refused: ``random.Random`` seeds with its absolute
+    value, so it would repeat the positive seed's run."""
     if scheduler not in SCHEDULERS:
         raise GameInputError(f"unknown scheduler {shown(scheduler)}; pick one of {SCHEDULERS}")
     if not isinstance(max_steps, int):
@@ -42,6 +44,8 @@ def _check_run(scheduler: str, max_steps: int) -> None:
         raise GameInputError("max_steps must be non-negative")
     if max_steps > STEP_CAP:
         raise SizeCapError(f"a budget of {shown(max_steps)} steps exceeds the cap of {STEP_CAP}")
+    if isinstance(seed, int) and seed < 0:
+        raise GameInputError(f"seed must be non-negative, got {shown(seed)}")
 
 
 def simulate(
@@ -60,7 +64,7 @@ def simulate(
     (round-robin or greedy scheduling with no randomized tie yet).  A
     budget above ``STEP_CAP`` raises SizeCapError.
     """
-    _check_run(scheduler, max_steps)
+    _check_run(scheduler, max_steps, seed)
     _check_config(game, x0, "start")
     getrandbits = random.Random(seed).getrandbits
     n = game.n

@@ -82,12 +82,12 @@ def full_cube_builds(monkeypatch):
     players.  Only ``cacgames.configsets`` calls the builder, so it is patched
     there."""
     calls = []
-    builder = cg.configsets._best_response_sets
+    builder = cg.configsets._own_best
 
     def counted(game, k, base, literals):
         if len(literals) == game.n:
             calls.append(k)
         return builder(game, k, base, literals)
 
-    monkeypatch.setattr(cg.configsets, "_best_response_sets", counted)
+    monkeypatch.setattr(cg.configsets, "_own_best", counted)
     return calls

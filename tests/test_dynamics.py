@@ -822,6 +822,8 @@ def test_simulation_validates_inputs(games):
             simulate(games["pennies"], 0, max_steps=bad)
     with pytest.raises(SizeCapError, match="cap"):
         simulate(games["pennies"], 0, max_steps=cg.simulation.STEP_CAP + 1)
+    with pytest.raises(GameInputError, match="seed must be non-negative, got -11"):
+        simulate(games["fig1"], 5, seed=-11)
     k3 = games["k3"]
     assert simulate(k3, k3.parse_bits("001"), max_steps=cg.simulation.STEP_CAP).status == "absorbed-at-NE"
 

@@ -24,10 +24,10 @@ from cacgames import (
 )
 from cacgames.commands import _sub_cube
 from cacgames.configsets import (
-    _best_response_sets,
     _configurations,
     _equilibria,
     _literals,
+    _own_best,
     _stay,
 )
 from cacgames.game import _cleared, _threshold_map
@@ -229,10 +229,11 @@ def test_configurations_walk_one_sub_cube_ascending():
 
 
 def test_bitset_scans_match_the_scalar_oracles(knife_edge_game):
-    # The bitset builder against ``_br_bits`` and the by-definition oracle,
-    # bit by bit, on the full cube and on random sub-cubes; the game's
-    # ``_stay`` table likewise; the equilibrium scan and ``enumerate_nash``
-    # against a brute-force filter of every configuration.
+    # The bitset builder against ``_br_bits``' own-action bit and the
+    # by-definition oracle, bit by bit, on the full cube and on random
+    # sub-cubes; the game's ``_stay`` table likewise; the equilibrium scan
+    # and ``enumerate_nash`` against a brute-force filter of every
+    # configuration.
     rng = random.Random(31)
     ties = 0
     for trial in range(60):
@@ -250,14 +251,13 @@ def test_bitset_scans_match_the_scalar_oracles(knife_edge_game):
             literals = _literals(free)
             configs = list(_configurations(base, free, range(1 << free.bit_count())))
             for k, node in enumerate(game.nodes):
-                ones, zeros = _best_response_sets(game, k, base, literals)
-                assert ones | zeros == (1 << len(configs)) - 1
+                own = _own_best(game, k, base, literals)
                 for p, x in enumerate(configs):
-                    code = (zeros >> p & 1) | (ones >> p & 1) << 1
-                    assert code == _br_bits(game, k, x), (trial, k, x)
-                    assert best_response_by_definition(game, node, x) == {
-                        a for a in (0, 1) if code >> a & 1
-                    }, (trial, k, x)
+                    bit, best = x >> k & 1, own >> p & 1
+                    code = _br_bits(game, k, x)
+                    assert best == code >> bit & 1, (trial, k, x)
+                    defined = best_response_by_definition(game, node, x)
+                    assert best == (bit in defined), (trial, k, x)
                     ties += code == 3
             for players in (range(n), [k for k in range(n) if rng.random() < 0.5]):
                 brute = [
@@ -269,15 +269,6 @@ def test_bitset_scans_match_the_scalar_oracles(knife_edge_game):
                 if free == (1 << n) - 1 and players == range(n):
                     assert enumerate_nash(game) == brute, trial
     assert ties > 1000
-
-
-def test_enumeration_cap_is_enforced():
-    g = WeightedGraph(range(25))
-    game = Game(g, set(), HALF)
-    with pytest.raises(SizeCapError):
-        enumerate_nash(game)
-    with pytest.raises(SizeCapError):
-        consensus_equilibria(game)
 
 
 def test_consensus_scan_is_capped_by_the_enumerated_players():

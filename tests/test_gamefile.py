@@ -335,6 +335,8 @@ def test_generator_rejects_bad_parameters():
         cg.random_game(0, 3, edge_prob=2)
     with pytest.raises(GameInputError, match="max_weight"):
         cg.random_game(0, 5, edge_prob=1, max_weight=0)
+    with pytest.raises(GameInputError, match="seed must be non-negative, got -7"):
+        cg.random_game(-7, 8)
 
 
 def test_generator_checks_the_node_cap_before_drawing():
